@@ -93,6 +93,15 @@ if grep -rn "Unix\.gettimeofday" --include="*.ml" --include="*.mli" \
   exit 1
 fi
 
+echo "== parking discipline (idle searchers and awaiters never sleep-poll) =="
+# Idle waits park on an eventcount (Mc_park) and are woken by the change
+# they wait for; a timed sleep in the hunt or the await would bring back
+# the timer-slack latency floor.
+if grep -n "Unix\.sleepf" lib/mcpool/mc_pool.ml lib/tasks/mc_task.ml; then
+  echo "check.sh: Unix.sleepf in the pool hunt or the task await (park on Mc_park)" >&2
+  exit 1
+fi
+
 echo "== mc-siege smoke (open-loop breaking-point search, 2 domains) =="
 dune exec bin/pools_bench.exe -- mc-siege --domains 2 --kind linear \
   --workload siege,arrival=poisson:500,duration=0.05,arrangement=balanced:1 \

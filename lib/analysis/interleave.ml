@@ -14,6 +14,11 @@ module M = Cpool_mc.Mc_segment_core.Make (Sched.Prim)
    Mc_pool.try_deliver / the parked hunt do. *)
 module H = Cpool_mc.Mc_hints.Make (Sched.Prim)
 
+(* The eventcount idle searchers and awaiters park on, on the same
+   primitives: the park scenarios below compose it with M exactly as
+   Mc_pool's hunt, add and deregister do. *)
+module K = Cpool_mc.Mc_park.Make (Sched.Prim)
+
 type scenario = { name : string; instance : unit -> Sched.instance }
 
 let failf name fmt = Printf.ksprintf (fun m -> failwith (name ^ ": " ^ m)) fmt
@@ -729,6 +734,127 @@ let near_steal_vs_pop () =
         Linz.check h);
   }
 
+(* ---- event-driven parking ------------------------------------------ *)
+
+(* Mc_pool's hunt, reduced to its park protocol: steal from the one other
+   segment; when that fails, and the pool is not quiescent, park until
+   [ready] — some segment non-empty, or quiescence — may hold. The rounds
+   are bounded so every schedule terminates: a re-check can pass while an
+   add's count is published but its element not yet stored, and the
+   searcher then loops. A lost wakeup is not a bounded loop but a fiber
+   blocked forever, which the scheduler reports as a deadlock. Returns
+   whether the hunt concluded quiescence. *)
+let hunt_once ~ec ~own ~victim ~quiescent ~got =
+  let ready () = quiescent () || M.size own > 0 || M.size victim > 0 in
+  let rec round n =
+    match loot_list (M.steal_half victim) with
+    | _ :: _ as loot ->
+      got := loot;
+      false
+    | [] ->
+      if quiescent () then begin
+        K.notify ec;
+        true
+      end
+      else if n > 0 then begin
+        ignore (K.park ec ~ready);
+        round (n - 1)
+      end
+      else false
+  in
+  round 4
+
+(* A searcher parking against an adder that publishes one element into its
+   own segment and then notifies (Mc_pool.try_add): in every schedule the
+   searcher ends up with the element or stops looping with the element in
+   plain sight, and never sleeps through the notify. *)
+let park_vs_add () =
+  let name = "park vs add" in
+  let own = M.make ~id:0 () in
+  let victim = M.make ~id:1 () in
+  let ec = K.create () in
+  let got = ref [] in
+  let searcher () =
+    ignore (hunt_once ~ec ~own ~victim ~quiescent:(fun () -> false) ~got)
+  in
+  let adder () =
+    M.add victim 7;
+    K.notify ec
+  in
+  {
+    Sched.threads = [ searcher; adder ];
+    check_step = all_of [ bound_ok name own; bound_ok name victim ];
+    check_final =
+      (fun () ->
+        quiescent name own;
+        quiescent name victim;
+        if K.sleepers ec <> 0 then failf name "sleeper count leaked: %d" (K.sleepers ec);
+        if List.length !got + stored victim <> 1 then
+          failf name "element lost or duplicated: %d taken, %d left"
+            (List.length !got) (stored victim));
+  }
+
+(* A parked searcher against the last active worker: that worker becomes a
+   searcher too, sees everyone searching and notifies (the empty
+   confirmation), stops searching, then deregisters and notifies
+   (Mc_pool.deregister). Whichever of the two notifies the parked searcher
+   hears, it must conclude quiescence — in every schedule, without
+   hanging. *)
+let park_vs_quiescence () =
+  let name = "park vs quiescence" in
+  let module A = Sched.Prim.Atomic in
+  let own = M.make ~id:0 () in
+  let victim = M.make ~id:1 () in
+  let ec = K.create () in
+  let searching = A.make 0 and registered = A.make 2 in
+  let is_quiescent () = A.get searching >= A.get registered in
+  let got = ref [] in
+  let concluded = ref false in
+  let searcher () =
+    ignore (A.fetch_and_add searching 1);
+    concluded := hunt_once ~ec ~own ~victim ~quiescent:is_quiescent ~got;
+    ignore (A.fetch_and_add searching (-1))
+  in
+  let last_worker () =
+    ignore (A.fetch_and_add searching 1);
+    if is_quiescent () then K.notify ec;
+    ignore (A.fetch_and_add searching (-1));
+    ignore (A.fetch_and_add registered (-1));
+    K.notify ec
+  in
+  {
+    Sched.threads = [ searcher; last_worker ];
+    check_step = (fun () -> ());
+    check_final =
+      (fun () ->
+        if !got <> [] then failf name "took an element from an empty pool";
+        if not !concluded then failf name "searcher gave up before quiescence";
+        if K.sleepers ec <> 0 then failf name "sleeper count leaked: %d" (K.sleepers ec));
+  }
+
+(* The same searcher with the announcement and the re-check swapped: it
+   checks [ready] first and only then registers, with a verdict already
+   stale. The adder's notify can fall between the two, find no sleeper and
+   skip the wakeup, leaving the searcher blocked with the element in the
+   pool. The checker must find that schedule (as a deadlock). *)
+let lost_wakeup () =
+  let own = M.make ~id:0 () in
+  let victim = M.make ~id:1 () in
+  let ec = K.create () in
+  let searcher () =
+    if M.size own = 0 && M.size victim = 0 then
+      ignore (K.park ec ~ready:(fun () -> false))
+  in
+  let adder () =
+    M.add victim 7;
+    K.notify ec
+  in
+  {
+    Sched.threads = [ searcher; adder ];
+    check_step = (fun () -> ());
+    check_final = (fun () -> ());
+  }
+
 let scenarios =
   [
     { name = "try-add-capacity"; instance = try_add_capacity };
@@ -746,6 +872,8 @@ let scenarios =
     { name = "hint-three-way"; instance = hint_three_way };
     { name = "spill-spill-drain"; instance = spill_spill_drain };
     { name = "near-steal-vs-pop"; instance = near_steal_vs_pop };
+    { name = "park-vs-add"; instance = park_vs_add };
+    { name = "park-vs-quiescence"; instance = park_vs_quiescence };
   ]
 
 let count = List.length scenarios
@@ -830,4 +958,14 @@ let cross_validate ppf =
     failwith "cross-validate: exhaustive DFS missed the seeded lost update";
   if not (fails Sched.Dpor) then
     failwith "cross-validate: DPOR missed the seeded lost update";
-  Format.fprintf ppf "cross-validate: seeded lost update caught by both modes@."
+  Format.fprintf ppf "cross-validate: seeded lost update caught by both modes@.";
+  let hangs mode =
+    match Sched.explore ~mode lost_wakeup with
+    | _ -> false
+    | exception Sched.Deadlock -> true
+  in
+  if not (hangs Sched.Exhaustive) then
+    failwith "cross-validate: exhaustive DFS missed the seeded lost wakeup";
+  if not (hangs Sched.Dpor) then
+    failwith "cross-validate: DPOR missed the seeded lost wakeup";
+  Format.fprintf ppf "cross-validate: seeded lost wakeup caught by both modes@."

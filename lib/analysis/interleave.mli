@@ -17,6 +17,11 @@
       is ordered by the happens-before relation of the schedule ({!Race},
       raised from inside the scheduler, not listed per scenario).
 
+    Two more scenarios run {!Cpool_mc.Mc_park}, the eventcount idle
+    searchers park on, against an adder's notify and against the
+    quiescence and deregistration notifies: a lost wakeup leaves a fiber
+    blocked forever, which the scheduler reports as a deadlock.
+
     This covers both the bug class PR 1 fixed (unreserved deposits
     overfilling a bounded segment) and the lock-free ring protocol's
     characteristic races (owner pop vs steal claim; owner push vs bounded
@@ -53,8 +58,13 @@ val dpor_stats : ?exhaustive_cap:int -> unit -> stat list
     [exhaustive_cap], default one million) and reports the counts
     side by side. *)
 
+val lost_wakeup : unit -> Sched.instance
+(** A parker that re-checks its condition {e before} registering with the
+    eventcount, against an adder that adds and notifies: the seeded lost
+    wakeup. Exploring it must raise {!Sched.Deadlock}. *)
+
 val cross_validate : Format.formatter -> unit
 (** The reduction's ground-truth check: on three small scenarios, both
     modes must pass with DPOR exploring strictly fewer schedules; on a
-    seeded lost-update bug, both modes must fail. Raises [Failure] on any
-    disagreement. *)
+    seeded lost-update bug and on {!lost_wakeup}, both modes must fail.
+    Raises [Failure] on any disagreement. *)

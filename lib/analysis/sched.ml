@@ -34,8 +34,15 @@ let conflicts a b =
 
 type lk = { mutable held : bool; m_oid : int }
 
+(* A condition variable: the tickets of the fibers blocked in [wait], each
+   flipped by the next broadcast. *)
+type ticket = { mutable signalled : bool }
+
+type cv = { mutable sleeping : ticket list; c_oid : int }
+
 type _ Effect.t += Step : step_info -> unit Effect.t
 type _ Effect.t += Wait : lk -> unit Effect.t
+type _ Effect.t += Block : cv * ticket -> unit Effect.t
 
 (* True only while the scheduler is stepping a fiber. Outside a run
    (scenario setup, invariant probes) the shims execute directly, with no
@@ -90,28 +97,63 @@ module Prim = struct
       else false
   end
 
+  (* Shared by [Mutex.lock] and the reacquire at the end of
+     [Condition.wait]. *)
+  let rec acquire m =
+    if not !active then begin
+      if m.held then failwith "Sched.Mutex.lock: deadlock outside a run";
+      m.held <- true
+    end
+    else begin
+      Effect.perform (Step { oid = m.m_oid; kind = Lock });
+      if m.held then begin
+        Effect.perform (Wait m);
+        acquire m
+      end
+      else m.held <- true
+    end
+
   module Mutex = struct
     type t = lk
 
     let create () = { held = false; m_oid = new_oid () }
 
-    let rec lock m =
-      if not !active then begin
-        if m.held then failwith "Sched.Mutex.lock: deadlock outside a run";
-        m.held <- true
-      end
-      else begin
-        Effect.perform (Step { oid = m.m_oid; kind = Lock });
-        if m.held then begin
-          Effect.perform (Wait m);
-          lock m
-        end
-        else m.held <- true
-      end
+    let lock = acquire
 
     let unlock m =
       sched_point m.m_oid Unlock;
       m.held <- false
+  end
+
+  module Condition = struct
+    type t = cv
+
+    let create () = { sleeping = []; c_oid = new_oid () }
+
+    (* [pthread_cond_wait] releases the mutex and joins the queue in one
+       atomic step. Here that is two scheduling points — join the queue
+       (a step on the condition, so it is ordered against broadcasts),
+       then release the mutex — followed by a blocked state that only a
+       broadcast ends, and the reacquire, a [lock] like any other. The
+       split admits every atomic behaviour (schedule the two back to
+       back) and adds none: between them the waiter holds the mutex and
+       does nothing else, so a broadcast there is one that came after the
+       atomic step. A fiber nobody broadcasts to stays blocked, and the
+       run reports a deadlock. *)
+    let wait c m =
+      if not !active then failwith "Sched.Condition.wait: would block outside a run";
+      sched_point c.c_oid Update;
+      let tk = { signalled = false } in
+      c.sleeping <- tk :: c.sleeping;
+      sched_point m.m_oid Unlock;
+      m.held <- false;
+      Effect.perform (Block (c, tk));
+      acquire m
+
+    let broadcast c =
+      sched_point c.c_oid Update;
+      List.iter (fun tk -> tk.signalled <- true) c.sleeping;
+      c.sleeping <- []
   end
 
   module Plain = struct
@@ -145,6 +187,7 @@ type status =
   | Done
   | Ready of step_info * (unit -> status)
   | Waiting of lk * (unit -> status)
+  | Blocked of cv * ticket * (unit -> status)
 
 exception Deadlock
 exception Exploded of string
@@ -164,6 +207,8 @@ let fiber ~tid (f : unit -> unit) : status =
                   Ready (info, fun () -> Effect.Deep.continue k ()))
             | Wait m ->
               Some (fun k -> Waiting (m, fun () -> Effect.Deep.continue k ()))
+            | Block (c, tk) ->
+              Some (fun k -> Blocked (c, tk, fun () -> Effect.Deep.continue k ()))
             | _ -> None);
       }
   in
@@ -172,6 +217,9 @@ let fiber ~tid (f : unit -> unit) : status =
 let label_of_status = function
   | Ready (info, _) -> info
   | Waiting (m, _) -> { oid = m.m_oid; kind = Lock }
+  (* Leaving a condition wait reads what the broadcast wrote: an update of
+     the condition, so it conflicts with (and is ordered after) it. *)
+  | Blocked (c, _, _) -> { oid = c.c_oid; kind = Update }
   | Done -> invalid_arg "label_of_status: Done"
 
 type instance = {
@@ -253,14 +301,17 @@ let explore_stats ?(mode = Dpor) ?(max_schedules = 1_000_000) make_instance =
             match state.(i) with
             | Ready _ -> i :: acc
             | Waiting (m, _) when not m.held -> i :: acc
-            | Waiting _ | Done -> acc
+            | Blocked (_, tk, _) when tk.signalled -> i :: acc
+            | Waiting _ | Blocked _ | Done -> acc
           in
           go (i - 1) acc
       in
       go (n - 1) []
     in
     let all_done () =
-      Array.for_all (function Done -> true | Ready _ | Waiting _ -> false) state
+      Array.for_all
+        (function Done -> true | Ready _ | Waiting _ | Blocked _ -> false)
+        state
     in
     let add_backtrack cp t =
       if not (List.mem t cp.backtrack) then cp.backtrack <- t :: cp.backtrack
@@ -344,7 +395,7 @@ let explore_stats ?(mode = Dpor) ?(max_schedules = 1_000_000) make_instance =
           cp.step_clock <- Race.snapshot race ~tid;
           let resume =
             match state.(tid) with
-            | Ready (_, k) | Waiting (_, k) -> k
+            | Ready (_, k) | Waiting (_, k) | Blocked (_, _, k) -> k
             | Done -> assert false
           in
           rc.cur_tid <- tid;

@@ -25,8 +25,10 @@
     explored interleaving, adjacent or not.
 
     A fiber attempting to lock a held mutex blocks (it is not schedulable
-    until the holder unlocks); if no fiber is runnable and some are
-    blocked, the run raises {!Deadlock}. *)
+    until the holder unlocks), and a fiber in [Condition.wait] stays blocked
+    until a broadcast on that condition; if no fiber is runnable and some
+    are blocked, the run raises {!Deadlock} — which is how a lost wakeup
+    shows. *)
 
 type lk
 

@@ -41,6 +41,7 @@ type 'a t = {
   mutable handle_traces : Mc_trace.t list; (* ditto, when tracing is on *)
   searching : int Atomic.t;
   registered : int Atomic.t;
+  idle : Mc_park.t; (* where idle searchers park; every visible element notifies *)
   steal_count : int Atomic.t;
   seed : int64;
   tree : tree option;
@@ -62,7 +63,23 @@ type handle = {
   mutable my_round : int;
   mutable started : bool;
   mutable pass_tick : int; (* aware search passes so far; drives escalation *)
+  mutable spin_budget : int; (* failed passes to spin through before parking *)
 }
+
+(* The spin before parking adapts to how soon parks end. After a long
+   idle period a searcher spins [park_spin_min] failed passes (about a
+   microsecond) and parks: a woken worker often lands on the core of the
+   thread that woke it, which then waits out that spin (512 spins put app
+   pings at 35-40 us, 16 at 15-18 us). But while parks keep ending within
+   [short_park_ns], work is arriving faster than a park and wake pay off,
+   and every wake is a chance for the scheduler to stack the woken thread
+   onto its waker's core: the budget doubles, up to [park_spin_max], so a
+   searcher under dense arrivals stays awake on its own core. *)
+let park_spin_min = 16
+
+let park_spin_max = 2048
+
+let short_park_ns = 50_000
 
 let rec next_pow2 n k = if k >= n then k else next_pow2 n (2 * k)
 
@@ -195,6 +212,7 @@ let of_config (c : Config.t) =
     handle_traces = [];
     searching = Atomic.make 0;
     registered = Atomic.make 0;
+    idle = Mc_park.create ();
     steal_count = Atomic.make 0;
     seed;
     tree;
@@ -264,6 +282,7 @@ let mk_handle t slot =
     my_round = 1;
     started = false;
     pass_tick = 0;
+    spin_budget = park_spin_min;
   }
 
 let probe_order t ~slot =
@@ -343,7 +362,9 @@ let deregister t h =
       (* Release the slot, or register/deregister churn leaks slots until
          every registration fails with "all slots claimed". *)
       t.claimed.(h.pool_slot) <- false);
-  Atomic.decr t.registered
+  Atomic.decr t.registered;
+  (* One fewer active worker may be what makes the parked ones quiescent. *)
+  Mc_park.notify t.idle
 
 let claimed_count t =
   with_registration t (fun () ->
@@ -355,8 +376,8 @@ let registered t = Atomic.get t.registered
    straight into its segment's spill inbox, skipping our own segment. The
    cheap [waiters] read keeps the non-parked common case at one load; a
    claim against a full bounded segment aborts the delivery (the claim is
-   still consumed — the searcher re-publishes on its next backoff round)
-   and falls through to the normal add path. *)
+   still consumed — the searcher re-publishes when it next parks) and
+   falls through to the normal add path. *)
 let try_deliver t h x =
   match t.hints with
   | None -> false
@@ -379,6 +400,8 @@ let try_deliver t h x =
          | None -> ());
          let delivered = Mc_segment.spill_add t.segs.(w) x in
          Mc_hints.release board w;
+         (* The claimed searcher may be parked until this release. *)
+         Mc_park.notify t.idle;
          if delivered then begin
            Mc_stats.note_hint_delivered h.stats;
            Mc_stats.note_spill h.stats;
@@ -391,9 +414,7 @@ let try_deliver t h x =
          end;
          delivered)
 
-let try_add t h x =
-  if try_deliver t h x then true
-  else
+let place t h x =
   match t.bound with
   | None ->
     Mc_segment.add t.segs.(h.pool_slot) x;
@@ -444,6 +465,15 @@ let try_add t h x =
       in
       spill 1
     end
+
+(* Every placement, delivered, local or spilled, is an element a parked
+   searcher may be waiting for; a delivery notifies on its own. *)
+let try_add t h x =
+  try_deliver t h x
+  ||
+  let placed = place t h x in
+  if placed then Mc_park.notify t.idle;
+  placed
 
 let add t h x = if not (try_add t h x) then failwith "Mc_pool.add: pool is full"
 
@@ -527,6 +557,8 @@ let attempt_steal t h pos =
         let banked = List.length rest in
         Mc_trace.record h.tracer Mc_trace.Steal_transfer ~a1:h.pool_slot ~a2:banked;
         record_steal t h pos ~elements:(1 + banked);
+        (* The banked remainder is stealable work for another idler. *)
+        Mc_park.notify t.idle;
         Some x)
     | Some _ ->
       let own = t.segs.(h.pool_slot) in
@@ -545,6 +577,7 @@ let attempt_steal t h pos =
         let banked = List.length rest in
         Mc_trace.record h.tracer Mc_trace.Steal_transfer ~a1:h.pool_slot ~a2:banked;
         record_steal t h pos ~elements:(1 + banked);
+        Mc_park.notify t.idle;
         Some x)
 
 (* One full deterministic pass over every segment; the confirmation step
@@ -748,139 +781,80 @@ let try_remove t h =
     | Some x -> Some x
     | None -> sweep t h)
 
-(* Idle-searcher backoff, shared by the plain and hinted hunts: spin this
-   many iterations before escalating to sleep slices of this length. *)
-let park_spin_iters = 256
+let quiescent t = Atomic.get t.searching >= Atomic.get t.registered
 
-let park_sleep_s = 5e-5
+(* The parker's re-check, made after it registers as a sleeper: work
+   anywhere, or nobody left to add any. *)
+let idle_ready t () =
+  quiescent t || Array.exists (fun s -> Mc_segment.size s > 0) t.segs
 
-let plain_hunt t h =
-  let rec hunt waited =
-    match search_pass t h with
-    | Some x -> Some x
-    | None ->
-      if Atomic.get t.searching >= Atomic.get t.registered then begin
-        (* Everyone is searching: a clean sweep proves the pool empty. *)
-        match sweep t h with
-        | Some x -> Some x
-        | None ->
-          Mc_stats.note_empty_confirm h.stats;
-          None
-      end
-      else begin
-        Mc_stats.note_spin h.stats;
-        (* Same escalation as the hinted parking discipline below: spin
-           briefly (work from a truly parallel adder lands within the
-           window), then sleep between search passes. The sleep matters
-           beyond politeness — a domain blocked in [sleepf] sits in a
-           blocking section, so it neither burns the producer's timeslice
-           on an oversubscribed machine nor forces its scheduling into
-           every stop-the-world GC barrier. *)
-        if waited < park_spin_iters then Domain.cpu_relax ()
-        else Unix.sleepf park_sleep_s;
-        hunt (waited + 1)
-      end
-  in
-  hunt 0
-
-(* Parking discipline for the Hinted hunt. A parked searcher spins briefly
-   (a hand-off from a truly parallel adder lands within the spin window)
-   and then sleeps between polls: when domains are oversubscribed the sleep
-   is what actually hands the timeslice to the adder that will wake us. The
-   publish budget doubles, up to a cap, each time it expires with nothing
-   seen — exponential backoff between sweep rounds, so the loosely-coupled
-   regime re-sweeps at a geometric cadence instead of spinning. *)
-let park_budget_base = 64
-
-let park_budget_cap = 4096
-
-let hinted_hunt t h board =
+(* One attempt to block on the pool's eventcount until [ready] may hold.
+   [Park] and [Wake] bracket each actual block, so they balance whenever
+   no searcher is asleep. *)
+let park t h ~ready =
   let me = h.pool_slot in
-  let rec round budget =
+  let on_block () =
+    Mc_stats.note_park h.stats;
+    Mc_trace.record h.tracer Mc_trace.Park ~a1:me ~a2:0
+  in
+  if Mc_park.park ~on_block t.idle ~ready then begin
+    Mc_stats.note_wake h.stats;
+    Mc_trace.record h.tracer Mc_trace.Wake ~a1:me ~a2:0
+  end
+
+(* Parking a searcher. The Hinted kind's one extra step is to advertise
+   the park on the hint board, so an adder delivers straight into this
+   segment, and to take the hint down afterwards. A lost retract means an
+   adder's delivery is in flight: it ends with the slot's release and a
+   notify, and the slot must be Free before the hunt goes on. *)
+let park_searcher t h =
+  match t.hints with
+  | None -> park t h ~ready:(idle_ready t)
+  | Some board -> (
+    let me = h.pool_slot in
+    Mc_hints.publish board me;
+    Mc_stats.note_hint_published h.stats;
+    Mc_trace.record h.tracer Mc_trace.Hint_publish ~a1:me ~a2:0;
+    park t h ~ready:(idle_ready t);
+    match Mc_hints.retract board me with
+    | Mc_hints.Retracted ->
+      Mc_stats.note_hint_expired h.stats;
+      Mc_trace.record h.tracer Mc_trace.Hint_expire ~a1:me ~a2:0
+    | Mc_hints.Claim_pending ->
+      let released () = Mc_hints.is_free board me in
+      while not (released ()) do
+        park t h ~ready:released
+      done)
+
+(* The blocking search, one loop for every kind: search passes, a short
+   spin, then park until an element becomes visible or every registered
+   worker is searching — at which point a clean sweep proves the pool
+   empty and wakes every sleeper to conclude the same. *)
+let hunt t h =
+  let rec go spins =
     match search_pass t h with
     | Some x -> Some x
-    | None ->
-      if Atomic.get t.searching >= Atomic.get t.registered then quiesce_unparked ()
-      else begin
-        Mc_hints.publish board me;
-        Mc_stats.note_hint_published h.stats;
-        if Mc_trace.enabled h.tracer then begin
-          Mc_trace.record h.tracer Mc_trace.Hint_publish ~a1:me ~a2:0;
-          Mc_trace.record h.tracer Mc_trace.Park ~a1:me ~a2:budget
-        end;
-        park budget 0
-      end
-  (* Parked: our hint is on the board. Leave only through a retract (or,
-     when the retract CAS loses to a claim, through the claiming adder's
-     release) so the slot is always Free again before this hunt returns. *)
-  and park budget waited =
-    if not (Mc_hints.is_published board me) then claimed_wake budget 0
-    else if Mc_segment.size t.segs.(me) > 0 then unpark budget
-    else if Atomic.get t.searching >= Atomic.get t.registered then quiesce_parked budget
-    else if waited >= budget then expire budget
-    else begin
+    | None when quiescent t -> (
+      match sweep t h with
+      | Some x -> Some x
+      | None ->
+        Mc_stats.note_empty_confirm h.stats;
+        Mc_park.notify t.idle;
+        None)
+    | None when spins < h.spin_budget ->
       Mc_stats.note_spin h.stats;
-      if waited < park_spin_iters then Domain.cpu_relax () else Unix.sleepf park_sleep_s;
-      park budget (waited + 1)
-    end
-  and unpark budget =
-    (* Work arrived in our own segment (a plain spill, or a delivery racing
-       ahead of our poll): take the hint down first. *)
-    match Mc_hints.retract board me with
-    | Mc_hints.Retracted ->
-      Mc_stats.note_hint_expired h.stats;
-      Mc_trace.record h.tracer Mc_trace.Hint_expire ~a1:me ~a2:0;
-      take_local_or_resweep ()
-    | Mc_hints.Claim_pending -> claimed_wake budget 0
-  and claimed_wake budget waited =
-    (* An adder's claim beat our retract: its delivery attempt finishes in
-       a bounded number of its own steps, marked by the slot's release. *)
-    if Mc_hints.is_free board me then take_local_or_resweep ()
-    else begin
-      Mc_stats.note_spin h.stats;
-      if waited < park_spin_iters then Domain.cpu_relax () else Unix.sleepf park_sleep_s;
-      claimed_wake budget (waited + 1)
-    end
-  and expire budget =
-    match Mc_hints.retract board me with
-    | Mc_hints.Retracted ->
-      Mc_stats.note_hint_expired h.stats;
-      if Mc_trace.enabled h.tracer then begin
-        Mc_trace.record h.tracer Mc_trace.Hint_expire ~a1:me ~a2:0;
-        Mc_trace.record h.tracer Mc_trace.Wake ~a1:me ~a2:0
-      end;
-      round (min park_budget_cap (2 * budget))
-    | Mc_hints.Claim_pending -> claimed_wake budget 0
-  and quiesce_parked budget =
-    (* Everyone is searching — but our own hint must come down before the
-       confirming sweep, or an adder-to-be could still claim it. A lost
-       retract means such an adder exists, so the pool is not quiescent
-       after all: absorb the delivery instead. *)
-    match Mc_hints.retract board me with
-    | Mc_hints.Retracted ->
-      Mc_stats.note_hint_expired h.stats;
-      if Mc_trace.enabled h.tracer then begin
-        Mc_trace.record h.tracer Mc_trace.Hint_expire ~a1:me ~a2:0;
-        Mc_trace.record h.tracer Mc_trace.Wake ~a1:me ~a2:0
-      end;
-      quiesce_unparked ()
-    | Mc_hints.Claim_pending -> claimed_wake budget 0
-  and quiesce_unparked () =
-    match sweep t h with
-    | Some x -> Some x
-    | None ->
-      Mc_stats.note_empty_confirm h.stats;
-      None
-  and take_local_or_resweep () =
-    Mc_trace.record h.tracer Mc_trace.Wake ~a1:me ~a2:0;
-    match try_remove_local t h with
-    | Some x -> Some x
-    | None ->
-      (* The element we woke for was stolen first (or the delivery was
-         aborted): the pool is active, so restart with a fresh budget. *)
-      round park_budget_base
+      Domain.cpu_relax ();
+      go (spins + 1)
+    | None -> (
+      let parked_at = Cpool_util.Clock.now_ns () in
+      park_searcher t h;
+      h.spin_budget <-
+        (if Cpool_util.Clock.now_ns () - parked_at < short_park_ns then
+           min park_spin_max (2 * h.spin_budget)
+         else park_spin_min);
+      match try_remove_local t h with Some x -> Some x | None -> go 0)
   in
-  round park_budget_base
+  go 0
 
 let remove t h =
   h.hunt_probes <- 0;
@@ -888,13 +862,9 @@ let remove t h =
   | Some x -> Some x
   | None ->
     Atomic.incr t.searching;
-    (* A parked hinted searcher keeps this increment: "searching empty" is
+    (* A parked searcher keeps this increment: "searching empty" is
        exactly what parking means, so quiescence detection stays exact. *)
-    let result =
-      match t.hints with
-      | Some board -> hinted_hunt t h board
-      | None -> plain_hunt t h
-    in
+    let result = hunt t h in
     Atomic.decr t.searching;
     result
 

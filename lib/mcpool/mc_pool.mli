@@ -182,15 +182,19 @@ val try_remove_local : 'a t -> handle -> 'a option
 
 val remove : 'a t -> handle -> 'a option
 (** [remove t h] removes an arbitrary element, searching and stealing if
-    [h]'s segment is empty; blocks (spinning politely) while the pool is
-    empty but some registered worker is still active, and returns [None]
-    only once every registered worker is searching and a full sweep
-    confirmed emptiness. On a [Hinted] pool the block parks on the hint
-    board instead of re-sweeping: the searcher publishes a claimable hint,
-    polls its own segment with exponential backoff between sweep rounds,
-    and is woken by an adder delivering straight into its segment. A parked
-    searcher still counts as "searching empty", so quiescence detection is
-    unchanged. *)
+    [h]'s segment is empty; blocks while the pool is empty but some
+    registered worker is still active, and returns [None] only once every
+    registered worker is searching and a full sweep confirmed emptiness.
+    The block is event-driven on every kind: after a short spin of failed
+    search passes the searcher parks on the pool's eventcount
+    ({!Mc_park}) and is woken by the next add, spill, hint delivery,
+    banked steal remainder, deregistration or quiescence confirmation —
+    it never polls on a timer. The spin starts at about a microsecond and
+    doubles while parks keep ending quickly (dense arrivals), resetting
+    after a long one. On a [Hinted] pool the searcher also publishes a
+    claimable hint while parked, so an adder delivers straight into its
+    segment. A parked searcher still counts as "searching empty", so
+    quiescence detection is unchanged. *)
 
 val try_remove : 'a t -> handle -> 'a option
 (** [try_remove t h] is like {!remove} but never blocks: one search pass

@@ -18,6 +18,15 @@ module type MUTEX = sig
   val unlock : t -> unit
 end
 
+module type CONDITION = sig
+  type t
+  type mutex
+
+  val create : unit -> t
+  val wait : t -> mutex -> unit
+  val broadcast : t -> unit
+end
+
 module type PLAIN = sig
   type 'a t
 
@@ -35,6 +44,7 @@ end
 module type S = sig
   module Atomic : ATOMIC
   module Mutex : MUTEX
+  module Condition : CONDITION with type mutex := Mutex.t
   module Plain : PLAIN
 end
 
@@ -49,6 +59,7 @@ module Real = struct
   end
 
   module Mutex = Mutex
+  module Condition = Condition
 
   module Plain = struct
     type 'a t = { mutable v : 'a }

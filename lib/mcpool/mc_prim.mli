@@ -40,6 +40,23 @@ module type MUTEX = sig
   val unlock : t -> unit
 end
 
+(** A condition variable over the sibling {!MUTEX}: the blocking half of
+    {!Mc_park}'s eventcount. *)
+module type CONDITION = sig
+  type t
+  type mutex
+
+  val create : unit -> t
+
+  val wait : t -> mutex -> unit
+  (** [wait c m] atomically releases [m] (which the caller holds) and
+      blocks until a {!broadcast} on [c], then reacquires [m] before
+      returning. Callers re-check their predicate in a loop. *)
+
+  val broadcast : t -> unit
+  (** [broadcast c] wakes every thread blocked in [wait c]. *)
+end
+
 (** A tracked plain (non-atomic) mutable cell. Shared mutable state that is
     deliberately unsynchronized — the ring's element slots, the owner-only
     scrub cursor — lives in [Plain.t] rather than bare [mutable] fields so
@@ -63,14 +80,20 @@ end
 module type S = sig
   module Atomic : ATOMIC
   module Mutex : MUTEX
+  module Condition : CONDITION with type mutex := Mutex.t
   module Plain : PLAIN
 end
 
-(** The hardware primitives: [Stdlib.Atomic], [Stdlib.Mutex], and a bare
-    mutable record field for [Plain]; [make_padded] additionally re-homes
-    the atomic in a padded heap block. *)
+(** The hardware primitives: [Stdlib.Atomic], [Stdlib.Mutex],
+    [Stdlib.Condition], and a bare mutable record field for [Plain];
+    [make_padded] additionally re-homes the atomic in a padded heap
+    block. *)
 module Real : sig
   module Atomic : ATOMIC with type 'a t = 'a Stdlib.Atomic.t
   module Mutex : MUTEX with type t = Stdlib.Mutex.t
+
+  module Condition :
+    CONDITION with type t = Stdlib.Condition.t and type mutex := Stdlib.Mutex.t
+
   module Plain : PLAIN
 end

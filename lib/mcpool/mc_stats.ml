@@ -12,6 +12,8 @@ type t = {
   mutable sweeps : int;
   mutable empty_confirms : int;
   mutable spins : int;
+  mutable parks : int; (* blocks on the pool's eventcount *)
+  mutable wakes : int; (* returns from those blocks *)
   (* Hint-board counters (the [Hinted] kind). Published/expired are bumped
      only by the parking searcher's own handle; claimed/delivered only by
      the claiming adder's handle — per-handle single-writer like the rest. *)
@@ -71,6 +73,8 @@ let create () =
       sweeps = 0;
       empty_confirms = 0;
       spins = 0;
+      parks = 0;
+      wakes = 0;
       hints_published = 0;
       hints_claimed = 0;
       hints_delivered = 0;
@@ -122,6 +126,14 @@ let note_sweep s = s.sweeps <- s.sweeps + 1
 let note_empty_confirm s = s.empty_confirms <- s.empty_confirms + 1
 
 let note_spin s = s.spins <- s.spins + 1
+
+let note_park s = s.parks <- s.parks + 1
+
+let note_wake s = s.wakes <- s.wakes + 1
+
+let parks s = s.parks
+
+let wakes s = s.wakes
 
 let note_hint_published s = s.hints_published <- s.hints_published + 1
 
@@ -193,6 +205,8 @@ let merge a b =
   s.sweeps <- a.sweeps + b.sweeps;
   s.empty_confirms <- a.empty_confirms + b.empty_confirms;
   s.spins <- a.spins + b.spins;
+  s.parks <- a.parks + b.parks;
+  s.wakes <- a.wakes + b.wakes;
   s.hints_published <- a.hints_published + b.hints_published;
   s.hints_claimed <- a.hints_claimed + b.hints_claimed;
   s.hints_delivered <- a.hints_delivered + b.hints_delivered;
@@ -238,6 +252,8 @@ let counters s =
       ("sweeps", s.sweeps);
       ("empty confirmations", s.empty_confirms);
       ("retry spins", s.spins);
+      ("parks", s.parks);
+      ("wakes", s.wakes);
       ("hints published", s.hints_published);
       ("hints claimed", s.hints_claimed);
       ("hints delivered", s.hints_delivered);

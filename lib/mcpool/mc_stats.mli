@@ -51,8 +51,18 @@ val note_empty_confirm : t -> unit
 (** A blocking remove that concluded the pool empty. *)
 
 val note_spin : t -> unit
-(** One polite retry ([Domain.cpu_relax] or a parked sleep) while waiting
-    for quiescence or a hint delivery. *)
+(** One failed search pass spun through ([Domain.cpu_relax]) before an
+    idle searcher parks. *)
+
+val note_park : t -> unit
+(** An idle searcher blocked on the pool's eventcount ({!Mc_park}): its
+    re-check after registering as a sleeper found no work and no
+    quiescence. *)
+
+val note_wake : t -> unit
+(** A parked searcher returned from its block. [parks = wakes] whenever no
+    searcher is asleep; while workers run, the difference is how many
+    are. *)
 
 (** {2 Hint-board counters (the [Hinted] kind)}
 
@@ -171,6 +181,10 @@ val near_steal_batch_sizes : t -> Cpool_metrics.Sample.t
 val far_steal_batch_sizes : t -> Cpool_metrics.Sample.t
 (** Distance-bucketed batch telemetry: distribution of elements moved per
     steal, split by whether the victim was in the thief's locality group. *)
+
+val parks : t -> int
+
+val wakes : t -> int
 
 val hints_published : t -> int
 

@@ -256,6 +256,11 @@ let run cfg =
   check "telemetry: inbox drained"
     (stat "inbox drained" <= stat "inbox adds")
     (Printf.sprintf "drained %d > added %d" (stat "inbox drained") (stat "inbox adds"));
+  (* Every park ends in a wake before its searcher's remove returns, and
+     every worker has returned. *)
+  check "telemetry: parks = wakes"
+    (Mc_stats.parks merged = Mc_stats.wakes merged)
+    (Printf.sprintf "parks %d <> wakes %d" (Mc_stats.parks merged) (Mc_stats.wakes merged));
   let traces = Mc_pool.traces pool in
   if cfg.trace then begin
     (* The tracer's drop-proof per-tag totals must agree with [Mc_stats]
@@ -286,8 +291,10 @@ let run cfg =
     reconcile "mpsc pushes" (ev Mc_trace.Mpsc_push) (stat "inbox adds");
     reconcile "mpsc drains" (ev Mc_trace.Mpsc_drain) (stat "inbox drains");
     reconcile "mpsc drained elements" (ev_sum Mc_trace.Mpsc_drain) (stat "inbox drained");
-    (* Every park resolves: a searcher never returns from a hunt with its
-       hint still on the board. *)
+    reconcile "parks" (ev Mc_trace.Park) (Mc_stats.parks merged);
+    reconcile "wakes" (ev Mc_trace.Wake) (Mc_stats.wakes merged);
+    (* Every park resolves, on every kind: a searcher never returns from a
+       hunt while still asleep on the pool's eventcount. *)
     reconcile "park/wake balance" (ev Mc_trace.Park) (ev Mc_trace.Wake)
   end;
   if cfg.kind = Mc_pool.Hinted then begin
@@ -343,6 +350,7 @@ let render r =
       (Mc_trace.total_dropped r.traces);
   Buffer.add_string buf (Mc_stats.render_table ~title:"per-domain telemetry" r.per_worker);
   Buffer.add_char buf '\n';
+  line "parking: %d parks, %d wakes" (Mc_stats.parks r.merged) (Mc_stats.wakes r.merged);
   if r.config.kind = Mc_pool.Hinted then begin
     line "hint board: %d published, %d claimed, %d delivered, %d expired"
       (Mc_stats.hints_published r.merged)

@@ -30,8 +30,9 @@
     - [Steal_claim]: victim segment, elements taken (kept + banked);
     - [Steal_transfer]: thief's own segment, elements banked into it;
     - [Sweep]: the sweeper's slot, 0;
-    - [Hint_publish], [Hint_expire], [Park], [Wake]: the searcher's slot, 0
-      (for [Park]: the poll budget this round);
+    - [Hint_publish], [Hint_expire]: the searcher's slot, 0;
+    - [Park], [Wake]: the searcher's slot, 0 — they bracket each block on
+      the pool's eventcount ({!Mc_park}), on every kind;
     - [Hint_claim], [Hint_deliver]: the claimed (parked searcher's) slot, 0;
     - [Mpsc_push]: the target segment of a lock-free spill push, 0;
     - [Mpsc_drain]: the owner's segment, elements folded from the inbox

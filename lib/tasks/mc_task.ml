@@ -7,6 +7,8 @@
    mid-run, and deregistering it at shutdown is what lets the drain
    finish. *)
 
+(* A task counts itself processed, just before it publishes anything an
+   awaiter could see (see [fork]). *)
 type task = unit -> unit
 
 (* The global-lock stack baseline (the paper's "stack with a global lock
@@ -49,6 +51,8 @@ type t = {
   forked : int Atomic.t;
   started : int Atomic.t;
   processed : int Atomic.t;
+  awaiters : Cpool_mc.Mc_park.t;  (* external awaiters: woken by completions *)
+  helpers : Cpool_mc.Mc_park.t;  (* idle worker awaiters: completions and queued work *)
   shrink_tokens : int Atomic.t;
   domains_lock : Mutex.t;  (* guards [domains] and [shut] *)
   mutable domains : unit Domain.t list;
@@ -157,6 +161,13 @@ let b_try_remove t slot =
   | Stack s, Stack_slot -> stack_try_remove s
   | _ -> assert false
 
+(* Whether stealable work is queued: a parked helper's re-check. The
+   stack is read under its lock so the read is ordered after the add. *)
+let b_has_work t =
+  match t.backend with
+  | Pool pool -> Cpool_mc.Mc_pool.size pool > 0
+  | Stack s -> with_lock s.lock (fun () -> s.items <> [])
+
 let b_register t =
   match t.backend with
   | Pool pool -> Pool_slot (Cpool_mc.Mc_pool.register pool)
@@ -172,8 +183,7 @@ let b_deregister t slot =
 
 let run_task t task =
   Atomic.incr t.started;
-  task ();
-  Atomic.incr t.processed
+  task ()
 
 (* CAS-claim one pending retirement request, the sanctioned RMW idiom. *)
 let rec claim_shrink_token t =
@@ -219,81 +229,110 @@ let enqueue t task =
   | Some ctx when ctx.ctx_sched == t ->
     Atomic.incr t.forked;
     (* Newest task into the LIFO slot; the displaced one becomes
-       stealable pool work. *)
+       stealable pool work, which a parked helper may be waiting for. *)
     (match ctx.ctx_lifo with
     | None -> ()
-    | Some prev -> b_add t ctx.ctx_wslot prev);
+    | Some prev ->
+      b_add t ctx.ctx_wslot prev;
+      Cpool_mc.Mc_park.notify t.helpers);
     ctx.ctx_lifo <- Some task
   | _ ->
     with_lock t.submit_lock (fun () ->
         if not t.submitter_open then
           invalid_arg "Mc_task.fork: scheduler is shut down";
         Atomic.incr t.forked;
-        b_add t t.submitter task)
+        b_add t t.submitter task);
+    Cpool_mc.Mc_park.notify t.helpers
 
 (* --- futures ----------------------------------------------------------- *)
 
-type 'a state = Pending | Done of 'a | Failed of exn * Printexc.raw_backtrace
+(* [Awaited] is [Pending] with an awaiter about to park: only then does the
+   completion pay for a wakeup. *)
+type 'a state =
+  | Pending
+  | Awaited
+  | Done of 'a
+  | Failed of exn * Printexc.raw_backtrace
 
 type 'a future = { fsched : t; cell : 'a state Atomic.t }
 
 let fork t f =
   let cell = Atomic.make Pending in
   enqueue t (fun () ->
-      (* Publish exactly once; the single store is the synchronization
-         point awaiters read through. *)
-      match f () with
-      | v -> Atomic.set cell (Done v)
-      | exception e ->
-        let bt = Printexc.get_raw_backtrace () in
-        Atomic.set cell (Failed (e, bt)));
+      let result =
+        match f () with
+        | v -> Done v
+        | exception e -> Failed (e, Printexc.get_raw_backtrace ())
+      in
+      (* Counted before it is published, so an awaiter that sees the value
+         also sees [forked = processed] for everything it awaited. *)
+      Atomic.incr t.processed;
+      (* Publish exactly once; the exchange is the synchronization point
+         awaiters read through, and says whether one is parked. *)
+      match Atomic.exchange cell result with
+      | Awaited ->
+        Cpool_mc.Mc_park.notify t.awaiters;
+        Cpool_mc.Mc_park.notify t.helpers
+      | Pending | Done _ | Failed _ -> ());
   { fsched = t; cell }
 
-(* Waiting must not starve whoever is computing the future: spin briefly
-   for cheap futures, then yield the core in short sleep slices. On an
-   oversubscribed machine (more domains than cores) a busy-wait here
-   competes with the worker actually producing the value and inverts the
-   speedup. *)
-let backoff spins =
-  if spins < 512 then Domain.cpu_relax () else Unix.sleepf 0.0002
+(* Spins before an awaiter parks: about a microsecond, as in the pool's
+   hunt, so a worker woken onto this core does not wait out a long spin. *)
+let await_spins = 16
+
+let resolved cell =
+  match Atomic.get cell with Done _ | Failed _ -> true | Pending | Awaited -> false
+
+(* Help-first: a worker blocked on a future runs other ready tasks — its
+   own LIFO slot first (the deepest fork), then the pool — so nested
+   fork/join can never deadlock a bounded fleet. The pool is swept only
+   when something is actually queued (forked but not yet started): an
+   awaiter with nothing to help must not re-scan every segment and compete
+   with the worker computing its value. *)
+let next_ready t ctx =
+  match take_lifo ctx with
+  | Some _ as got -> got
+  | None ->
+    if Atomic.get t.forked - Atomic.get t.started > 0 then
+      b_try_remove t ctx.ctx_wslot
+    else None
 
 let await fut =
   let t = fut.fsched in
+  let helper =
+    match Domain.DLS.get ctx_key with
+    | Some ctx when ctx.ctx_sched == t -> Some ctx
+    | _ -> None
+  in
+  let help () = match helper with Some ctx -> next_ready t ctx | None -> None in
   let rec wait spins =
     match Atomic.get fut.cell with
     | Done v -> v
     | Failed (e, bt) -> Printexc.raise_with_backtrace e bt
-    | Pending ->
-      (match Domain.DLS.get ctx_key with
-      | Some ctx when ctx.ctx_sched == t -> (
-        (* Help-first: a worker blocked on a future runs other ready
-           tasks — its own LIFO slot first (the deepest fork), then the
-           pool — so nested fork/join can never deadlock a bounded
-           fleet. Only when there is nothing to help with does it back
-           off like an external awaiter. *)
-        let next =
-          match take_lifo ctx with
-          | Some _ as got -> got
+    | (Pending | Awaited) as st -> (
+      match help () with
+      | Some task ->
+        run_task t task;
+        wait 0
+      | None when spins < await_spins ->
+        Domain.cpu_relax ();
+        wait (spins + 1)
+      | None ->
+        (* Mark the cell before parking so its completion notifies; a lost
+           CAS means it just completed (or another awaiter marked it). *)
+        if st == Pending && not (Atomic.compare_and_set fut.cell Pending Awaited)
+        then wait spins
+        else begin
+          (match helper with
           | None ->
-            (* Sweep the pool only when something is actually queued
-               (forked but not yet started). Without the gate an awaiter
-               with nothing to help re-scans every segment per poll —
-               pure overhead that competes with the worker computing the
-               value it is waiting for. *)
-            if Atomic.get t.forked - Atomic.get t.started > 0 then
-              b_try_remove t ctx.ctx_wslot
-            else None
-        in
-        match next with
-        | Some task ->
-          run_task t task;
-          wait 0
-        | None ->
-          backoff spins;
-          wait (spins + 1))
-      | _ ->
-        backoff spins;
-        wait (spins + 1))
+            ignore
+              (Cpool_mc.Mc_park.park t.awaiters ~ready:(fun () -> resolved fut.cell))
+          | Some _ ->
+            ignore
+              (Cpool_mc.Mc_park.park t.helpers ~ready:(fun () ->
+                   resolved fut.cell || b_has_work t)));
+          wait spins
+        end)
   in
   wait 0
 
@@ -338,6 +377,8 @@ let of_config ?workers cfg =
       forked = Atomic.make 0;
       started = Atomic.make 0;
       processed = Atomic.make 0;
+      awaiters = Cpool_mc.Mc_park.create ();
+      helpers = Cpool_mc.Mc_park.create ();
       shrink_tokens = Atomic.make 0;
       domains_lock = Mutex.create ();
       domains = [];
@@ -363,6 +404,8 @@ let lock_stack ~workers =
       forked = Atomic.make 0;
       started = Atomic.make 0;
       processed = Atomic.make 0;
+      awaiters = Cpool_mc.Mc_park.create ();
+      helpers = Cpool_mc.Mc_park.create ();
       shrink_tokens = Atomic.make 0;
       domains_lock = Mutex.create ();
       domains = [];
@@ -400,7 +443,7 @@ let shrink t n =
       (* Nudge tasks wake workers blocked in remove so they reach the
          token check; survivors run them as no-ops. *)
       for _ = 1 to target do
-        enqueue t ignore
+        enqueue t (fun () -> Atomic.incr t.processed)
       done
     end;
     target

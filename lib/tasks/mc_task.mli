@@ -7,9 +7,9 @@
     classic work-stealing runtimes (Blumofe & Leiserson's Cilk): tasks are
     closures flowing through an {!Cpool_mc.Mc_pool} — adds stay in the
     forking worker's segment, idle workers steal half a segment at a time,
-    and on a [Hinted] pool an idle worker {e parks} on the hint board
-    instead of spin-searching, woken by the next fork delivered straight
-    into its segment.
+    and a worker with nothing to steal {e parks} on the pool's eventcount
+    until the next fork makes work visible (on a [Hinted] pool that fork
+    is delivered straight into its segment).
 
     {2 Lifecycle}
 
@@ -29,10 +29,12 @@
 
     {!await} inside a task {e helps}: while its future is unresolved the
     worker runs other ready tasks from the pool, so a bounded worker
-    fleet can never deadlock on nested fork/join. {!await} outside any
-    worker polls with an escalating backoff (spin, then short sleeps) and
-    runs nothing — the measured parallelism of a run is exactly the
-    worker count.
+    fleet can never deadlock on nested fork/join; with nothing to help
+    with it parks until the future completes or new work is queued.
+    {!await} outside any worker spins briefly, then parks until the
+    future completes, and runs nothing — the measured parallelism of a run
+    is exactly the worker count. A completion pays for a wakeup only when
+    someone is parked on that future.
 
     {2 Elasticity}
 
@@ -111,7 +113,9 @@ val forked : t -> int
 (** Tasks enqueued so far (including {!shrink} nudges). *)
 
 val processed : t -> int
-(** Tasks executed so far. After {!shutdown}, must equal {!forked} — the
+(** Tasks executed so far. A task is counted before its value is
+    published, so right after {!await} returns, every task it (transitively)
+    awaited is counted. After {!shutdown}, must equal {!forked} — the
     task-conservation identity the tests pin. *)
 
 val steals : t -> int

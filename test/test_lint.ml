@@ -244,6 +244,92 @@ let test_exploded_names_step_bound () =
   | exception Sched.Exploded msg ->
     Alcotest.(check bool) ("bound named in: " ^ msg) true (contains msg "10000")
 
+(* The condition shim: a broadcast under the lock releases a waiter in
+   every schedule, and a waiter nobody broadcasts to is a deadlock. *)
+let test_condition_broadcast_wakes () =
+  let module A = Sched.Prim.Atomic in
+  let module L = Sched.Prim.Mutex in
+  let module C = Sched.Prim.Condition in
+  let instance () =
+    let flag = A.make false and m = L.create () and c = C.create () in
+    let waiter () =
+      L.lock m;
+      while not (A.get flag) do
+        C.wait c m
+      done;
+      L.unlock m
+    in
+    let signaller () =
+      L.lock m;
+      A.set flag true;
+      C.broadcast c;
+      L.unlock m
+    in
+    {
+      Sched.threads = [ waiter; signaller ];
+      check_step = (fun () -> ());
+      check_final = (fun () -> ());
+    }
+  in
+  Alcotest.(check bool) "explored" true (Sched.explore instance > 1)
+
+let test_condition_unsignalled_deadlocks () =
+  let module L = Sched.Prim.Mutex in
+  let module C = Sched.Prim.Condition in
+  let instance () =
+    let m = L.create () and c = C.create () in
+    let waiter () =
+      L.lock m;
+      C.wait c m;
+      L.unlock m
+    in
+    {
+      Sched.threads = [ waiter ];
+      check_step = (fun () -> ());
+      check_final = (fun () -> ());
+    }
+  in
+  match Sched.explore instance with
+  | _ -> Alcotest.fail "a wait nobody signals must deadlock"
+  | exception Sched.Deadlock -> ()
+
+(* A broadcast made without the lock can fall between the waiter's check
+   and its wait. The shim must order the wait's queue join against the
+   broadcast, or the reduction would prune the losing schedule. *)
+let test_unlocked_broadcast_loses_wakeup () =
+  let module A = Sched.Prim.Atomic in
+  let module L = Sched.Prim.Mutex in
+  let module C = Sched.Prim.Condition in
+  let instance () =
+    let flag = A.make false and m = L.create () and c = C.create () in
+    let waiter () =
+      L.lock m;
+      while not (A.get flag) do
+        C.wait c m
+      done;
+      L.unlock m
+    in
+    let signaller () =
+      A.set flag true;
+      C.broadcast c
+    in
+    {
+      Sched.threads = [ waiter; signaller ];
+      check_step = (fun () -> ());
+      check_final = (fun () -> ());
+    }
+  in
+  match Sched.explore instance with
+  | _ -> Alcotest.fail "the unlocked broadcast's lost wakeup was not found"
+  | exception Sched.Deadlock -> ()
+
+(* Swapping the eventcount's announce and re-check loses a wakeup; the
+   checker must find the schedule. *)
+let test_lost_wakeup_found () =
+  match Sched.explore Interleave.lost_wakeup with
+  | _ -> Alcotest.fail "the lost wakeup escaped the schedule enumeration"
+  | exception Sched.Deadlock -> ()
+
 (* ---- DPOR vs exhaustive ---------------------------------------------- *)
 
 (* Ground truth: on small scenarios both modes pass with DPOR strictly
@@ -458,6 +544,14 @@ let suites =
           test_exploded_names_schedule_bound;
         Alcotest.test_case "Exploded names the step bound" `Quick
           test_exploded_names_step_bound;
+        Alcotest.test_case "condition broadcast wakes" `Quick
+          test_condition_broadcast_wakes;
+        Alcotest.test_case "unsignalled wait deadlocks" `Quick
+          test_condition_unsignalled_deadlocks;
+        Alcotest.test_case "swapped park order loses a wakeup" `Quick
+          test_lost_wakeup_found;
+        Alcotest.test_case "unlocked broadcast loses a wakeup" `Quick
+          test_unlocked_broadcast_loses_wakeup;
       ] );
     ( "dpor",
       [

@@ -491,6 +491,34 @@ let test_hinted_sparse_stress_cell () =
   Alcotest.(check (list string)) "no invariant violations" [] r.Mc_stress.violations;
   Alcotest.(check bool) "did some work" true (r.Mc_stress.ops > 0)
 
+(* An idle remover must sleep, not poll. After 50 ms with nothing to take
+   it is woken by one later add, and its spins stay within the spin budget
+   a searcher gets after an idle period (16 failed passes); a hunt that
+   polled on a timer would have counted hundreds. *)
+let test_idle_remover_parks kind () =
+  let pool : int Mc_pool.t =
+    Mc_pool.of_config { Mc_pool.Config.default with kind; segments = 2 }
+  in
+  let h0 = Mc_pool.register_at pool 0 and h1 = Mc_pool.register_at pool 1 in
+  let s0 = Mc_pool.stats_of_handle h0 in
+  let remover = Domain.spawn (fun () -> Mc_pool.remove pool h0) in
+  Unix.sleepf 0.05;
+  let rec until_parked i =
+    if Mc_stats.parks s0 = 0 && i < 2_000 then begin
+      Unix.sleepf 1e-3;
+      until_parked (i + 1)
+    end
+  in
+  until_parked 0;
+  Mc_pool.add pool h1 42;
+  Alcotest.(check (option int)) "woken with the element" (Some 42) (Domain.join remover);
+  let spins = Cpool_metrics.Counters.get (Mc_stats.counters s0) "retry spins" in
+  Alcotest.(check bool) (Printf.sprintf "%d spins within the budget" spins) true (spins <= 16);
+  Alcotest.(check bool) "parked" true (Mc_stats.parks s0 >= 1);
+  Alcotest.(check int) "every park woke" (Mc_stats.parks s0) (Mc_stats.wakes s0);
+  Mc_pool.deregister pool h0;
+  Mc_pool.deregister pool h1
+
 let per_kind name f = List.map (fun (kn, k) -> Alcotest.test_case (name ^ " (" ^ kn ^ ")") `Quick (f k)) kinds
 
 let main_suites =
@@ -517,6 +545,7 @@ let main_suites =
       @ per_kind "conservation under domains" test_conservation_under_domains
       @ per_kind "producer/consumer domains" test_producer_consumer_domains
       @ per_kind "work-generating workload" test_work_generating_workload );
+    ("mcpool.park", per_kind "idle remover parks until an add" test_idle_remover_parks);
   ]
 
 (* --- Bounded multicore pools --- *)

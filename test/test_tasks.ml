@@ -279,6 +279,47 @@ let per_kind name f =
       Alcotest.test_case (Printf.sprintf "%s (%s)" name kname) `Quick (f kind))
     kinds
 
+(* --- event-driven parking ------------------------------------------- *)
+
+(* Workers that have spun out and parked must still hear the shutdown. *)
+let test_shutdown_with_parked_workers kind () =
+  let t = pool_scheduler kind ~domains:2 in
+  Alcotest.(check int) "task ran" 7 (Mc_task.await (Mc_task.fork t (fun () -> 7)));
+  Unix.sleepf 0.05;
+  Mc_task.shutdown t;
+  Alcotest.(check int) "workers gone" 0 (Mc_task.live_workers t);
+  Alcotest.(check int) "forked = processed" (Mc_task.forked t) (Mc_task.processed t)
+
+(* An external awaiter parks; the completion must wake it, also when the
+   task raises. *)
+let test_await_woken_by_completion kind () =
+  with_scheduler (fun () -> pool_scheduler kind ~domains:2) (fun t ->
+      let slow =
+        Mc_task.fork t (fun () ->
+            Unix.sleepf 0.05;
+            11)
+      in
+      Alcotest.(check int) "value" 11 (Mc_task.await slow);
+      let failing =
+        Mc_task.fork t (fun () ->
+            Unix.sleepf 0.05;
+            raise (Boom 3))
+      in
+      match Mc_task.await failing with
+      | _ -> Alcotest.fail "expected Boom"
+      | exception Boom 3 -> ())
+
+(* A task is counted processed before its value is published, so the
+   conservation identity holds the moment an await returns. *)
+let test_processed_before_published kind () =
+  with_scheduler (fun () -> pool_scheduler kind ~domains:2) (fun t ->
+      for i = 1 to 1_000 do
+        Alcotest.(check int) "value" i (Mc_task.await (Mc_task.fork t (fun () -> i)));
+        if Mc_task.forked t <> Mc_task.processed t then
+          Alcotest.failf "iteration %d: forked %d <> processed %d" i (Mc_task.forked t)
+            (Mc_task.processed t)
+      done)
+
 let suites =
   [
     ( "tasks.futures",
@@ -306,4 +347,8 @@ let suites =
       ]
       @ per_kind "minimax equals sequential" test_minimax_exact
       @ per_kind "n-queens equals published counts" test_nqueens_known );
+    ( "tasks.parking",
+      per_kind "shutdown with parked workers" test_shutdown_with_parked_workers
+      @ per_kind "await woken by completion" test_await_woken_by_completion
+      @ per_kind "forked = processed after each await" test_processed_before_published );
   ]
