@@ -1,12 +1,12 @@
-(* Command-line driver: regenerate any paper experiment, or soak-test the
-   real multicore pool.
+(* Command-line driver: regenerate any paper experiment, or measure and
+   soak-test the real multicore pool.
 
    Examples:
      pools_bench list
      pools_bench run fig2 fig7 --preset quick
      pools_bench run all --trials 10
-     pools_bench mc-stress --domains 8 --seconds 2
-     pools_bench mc-stress --kind tree --mode bounded --capacity 32
+     pools_bench mc-throughput --domains 8 --seconds 2 --kind all --churn
+     pools_bench mc-throughput --kind tree --capacity 32 --trace TRACE.json
      pools_bench mc-throughput --domains 4 --topology two-group:4
      pools_bench mc-throughput --topology topo/two_group.topo --domains 4
 
@@ -152,7 +152,7 @@ let list_cmd =
   in
   Cmd.v (Cmd.info "list" ~doc:"List available experiments") Term.(const list $ const ())
 
-(* --- mc-stress: multi-domain soak of the real pool, with invariants --- *)
+(* --- shared mc-* arguments ---------------------------------------------- *)
 
 (* One shared parser for every pool kind, via Cpool_intf.of_string — a typo
    is a hard CLI error (non-zero exit) carrying the valid-kind list, never
@@ -171,16 +171,9 @@ let kind_conv =
   in
   Arg.conv (parse, print)
 
-let mode_conv =
-  let parse = function
-    | ("both" | "bounded" | "unbounded") as s -> Ok s
-    | s -> Error (`Msg (Printf.sprintf "unknown mode %S (expected both, bounded or unbounded)" s))
-  in
-  Arg.conv (parse, Format.pp_print_string)
-
-(* One shared workload-spec parser for mc-stress, mc-throughput and
-   mc-siege (Cpool_intf.Workload.of_string): a bad spec is a usage error
-   on stderr (exit 2) carrying the full list of valid forms. *)
+(* One shared workload-spec parser for mc-throughput and mc-siege
+   (Cpool_intf.Workload.of_string): a bad spec is a usage error on stderr
+   (exit 2) carrying the full list of valid forms. *)
 let workload_conv =
   let parse s =
     match Cpool_intf.Workload.of_string s with
@@ -197,131 +190,52 @@ let workload_doc =
    $(b,arrival=closed|poisson:RATE|bursty:RATE:ON_MS:OFF_MS), \
    $(b,arrangement=uniform|balanced:K|unbalanced:K)."
 
+let workloads_arg doc =
+  Arg.(
+    value
+    & opt_all workload_conv []
+    & info [ "workload"; "w" ] ~docv:"SPEC" ~doc:(workload_doc ^ " " ^ doc))
+
 (* A --seconds override rewrites every selected workload's duration, so
    scripts can scale a preset without restating the whole spec. *)
+let seconds_arg per =
+  let doc = "Override every selected workload's duration (seconds per " ^ per ^ ")." in
+  Arg.(value & opt (some float) None & info [ "seconds"; "s" ] ~docv:"SEC" ~doc)
+
 let override_seconds seconds workloads =
   match seconds with
   | None -> workloads
   | Some s ->
     List.map (fun w -> { w with Cpool_intf.Workload.duration_s = s }) workloads
 
-let mc_stress_cmd =
-  let domains =
-    let doc = "Worker domains (= pool segments). Defaults to the recommended domain count." in
-    Arg.(value & opt (some int) None & info [ "domains"; "d" ] ~docv:"N" ~doc)
-  in
-  let seconds =
-    let doc = "Override the workload's duration (seconds per cell)." in
-    Arg.(value & opt (some float) None & info [ "seconds"; "s" ] ~docv:"SEC" ~doc)
-  in
-  let stress_kind =
-    let doc = "Search algorithm: $(b,linear), $(b,random), $(b,tree), $(b,hinted) or $(b,all)." in
-    Arg.(value & opt kind_conv None & info [ "kind"; "k" ] ~docv:"KIND" ~doc)
-  in
-  let mode =
-    let doc = "Capacity regime: $(b,unbounded), $(b,bounded) or $(b,both)." in
-    Arg.(value & opt mode_conv "both" & info [ "mode" ] ~docv:"MODE" ~doc)
-  in
-  let capacity =
-    let doc = "Per-segment capacity for the bounded cells." in
-    Arg.(value & opt int 64 & info [ "capacity" ] ~docv:"N" ~doc)
-  in
-  let workload =
-    let doc = workload_doc ^ " Must be closed-loop and uniform." in
-    Arg.(
-      value
-      & opt workload_conv Cpool_intf.Workload.default
-      & info [ "workload"; "w" ] ~docv:"SPEC" ~doc)
-  in
-  let no_churn =
-    Arg.(value & flag & info [ "no-churn" ] ~doc:"Disable register/deregister churn.")
-  in
-  let stress_seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"S" ~doc:"Base random seed.")
-  in
-  let stress_trace =
-    Arg.(
-      value & flag
-      & info [ "trace" ]
-          ~doc:
-            "Record per-domain event traces and cross-check the event-derived \
-             steal/hint counts against the merged telemetry (extra invariants).")
-  in
-  let run domains seconds kind mode capacity workload no_churn seed trace =
-    let domains =
-      match domains with
-      | Some d -> d
-      | None -> min 8 (max 2 (Domain.recommended_domain_count ()))
-    in
-    let workload =
-      List.hd (override_seconds seconds [ workload ])
-    in
-    if domains < 1 then usage_error "--domains must be at least 1"
-    else if capacity < 1 then usage_error "--capacity must be at least 1"
-    else if workload.Cpool_intf.Workload.duration_s <= 0.0 then
-      usage_error "--seconds must be positive"
-    else if not (Cpool_intf.Workload.closed workload) then
-      usage_error
-        "mc-stress is a closed-loop harness; open-loop arrivals belong to \
-         mc-siege"
-    else if workload.Cpool_intf.Workload.arrangement <> Cpool_intf.Workload.Uniform
-    then
-      usage_error
-        "mc-stress runs a uniform arrangement; producer/consumer splits belong \
-         to mc-siege"
-    else
-    let kinds = match kind with Some k -> [ k ] | None -> Cpool_intf.all in
-    let capacities =
-      match mode with
-      | "unbounded" -> [ None ]
-      | "bounded" -> [ Some capacity ]
-      | _ -> [ None; Some capacity ]
-    in
-    let failures = ref 0 in
-    List.iter
-      (fun kind ->
-        List.iter
-          (fun capacity ->
-            let cfg =
-              {
-                Cpool_mc.Mc_stress.domains;
-                kind;
-                capacity;
-                workload;
-                churn = not no_churn;
-                seed;
-                trace;
-              }
-            in
-            let report = Cpool_mc.Mc_stress.run cfg in
-            print_endline (Cpool_mc.Mc_stress.render report);
-            if not (Cpool_mc.Mc_stress.passed report) then incr failures)
-          capacities)
-      kinds;
-    if !failures = 0 then 0
-    else begin
-      Format.eprintf "pools_bench: %d stress cell(s) violated invariants@." !failures;
-      1
-    end
-  in
-  let doc = "Soak-test the real multicore pool and check its invariants" in
-  let man =
-    [
-      `S Manpage.s_description;
-      `P
-        "Runs a randomized multi-domain add/remove mix (with optional \
-         register/deregister churn) against every selected search algorithm, \
-         bounded and unbounded, then drains to quiescence. Checks element \
-         conservation, per-segment count consistency, the capacity bound (watched \
-         concurrently), slot-leak freedom, and that the per-domain telemetry agrees \
-         with ground truth. Exits non-zero if any invariant is violated.";
-    ]
-  in
-  Cmd.v
-    (Cmd.info "mc-stress" ~doc ~man)
-    Term.(
-      const run $ domains $ seconds $ stress_kind $ mode $ capacity $ workload
-      $ no_churn $ stress_seed $ stress_trace)
+let kind_arg default =
+  let doc = "Search algorithm: $(b,linear), $(b,random), $(b,tree), $(b,hinted) or $(b,all)." in
+  Arg.(value & opt kind_conv default & info [ "kind"; "k" ] ~docv:"KIND" ~doc)
+
+let capacity_arg =
+  let doc = "Per-segment capacity (omit for unbounded segments)." in
+  Arg.(value & opt (some int) None & info [ "capacity" ] ~docv:"N" ~doc)
+
+let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"S" ~doc:"Base random seed.")
+
+let topology_arg doc =
+  Arg.(value & opt (some string) None & info [ "topology"; "t" ] ~docv:"SPEC" ~doc)
+
+let out_arg default what =
+  let doc = "Write the JSON " ^ what ^ " to $(docv)." in
+  Arg.(value & opt string default & info [ "out"; "o" ] ~docv:"FILE" ~doc)
+
+let write_json file doc =
+  Out_channel.with_open_bin file (fun oc ->
+      output_string oc (Cpool_util.Json.to_string doc))
+
+(* The flag checks mc-throughput and mc-siege share, as a usage error. *)
+let bad_seconds_or_capacity seconds capacity =
+  if Option.fold ~none:false ~some:(fun s -> s <= 0.0) seconds then
+    Some "--seconds must be positive"
+  else if Option.fold ~none:false ~some:(fun c -> c < 1) capacity then
+    Some "--capacity must be at least 1"
+  else None
 
 (* --- mc-throughput: lock-free fast path vs all-mutex baseline --------- *)
 
@@ -396,60 +310,45 @@ let mc_throughput_cmd =
     let doc = "Comma-separated worker-domain counts, one grid column each." in
     Arg.(value & opt (list int) [ 2; 8 ] & info [ "domains"; "d" ] ~docv:"N,.." ~doc)
   in
-  let seconds =
-    let doc = "Override every selected workload's duration (seconds per cell)." in
-    Arg.(value & opt (some float) None & info [ "seconds"; "s" ] ~docv:"SEC" ~doc)
-  in
-  let bench_kind =
-    let doc = "Search algorithm: $(b,linear), $(b,random), $(b,tree), $(b,hinted) or $(b,all)." in
-    Arg.(value & opt kind_conv (Some Cpool_mc.Mc_pool.Linear) & info [ "kind"; "k" ] ~docv:"KIND" ~doc)
-  in
   let workloads =
-    let doc =
-      workload_doc
-      ^ " Repeatable, one grid row each; defaults to $(b,sufficient) and \
-         $(b,sparse). Must be closed-loop."
-    in
-    Arg.(value & opt_all workload_conv [] & info [ "workload"; "w" ] ~docv:"SPEC" ~doc)
-  in
-  let capacity =
-    let doc = "Per-segment capacity (omit for unbounded segments)." in
-    Arg.(value & opt (some int) None & info [ "capacity" ] ~docv:"N" ~doc)
+    workloads_arg
+      "Repeatable, one grid row each; defaults to $(b,sufficient) and \
+       $(b,sparse). Must be closed-loop."
   in
   let no_baseline =
     Arg.(
       value & flag
       & info [ "no-baseline" ] ~doc:"Skip the all-mutex ($(b,fast_path:false)) twin cells.")
   in
-  let out =
-    let doc = "Write the JSON report to $(docv) (omit to skip the file)." in
+  let churn =
     Arg.(
-      value
-      & opt (some string) (Some "BENCH_mcpool.json")
-      & info [ "out"; "o" ] ~docv:"FILE" ~doc)
-  in
-  let bench_seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"S" ~doc:"Base random seed.")
+      value & flag
+      & info [ "churn" ]
+          ~doc:
+            "Odd-numbered workers retire their handle and register a fresh one \
+             every ~4096 operations (register/deregister churn).")
   in
   let trace_out =
     let doc =
       "Trace every worker and write Chrome trace-event JSON to $(docv) (one Chrome \
-       process per cell; load at ui.perfetto.dev). Tracing adds a per-event \
-       timestamp cost — leave it off for committed throughput numbers."
+       process per cell; load at ui.perfetto.dev). Also prints each cell's \
+       per-domain and per-segment telemetry, steal distributions, event totals \
+       and segment-size strip chart, and reconciles the event totals with the \
+       telemetry. Tracing adds a per-event timestamp cost — leave it off for \
+       committed throughput numbers."
     in
     Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
   in
   let topology =
-    let doc =
+    topology_arg
       "Attach a locality model and benchmark topology-aware stealing against \
        its distance-oblivious twin. $(docv) is $(b,two-group:PENALTY) (or \
        $(b,two-group:PENALTY:UNIT_NS)) for the synthetic two-socket preset, or \
        a path to a topology file in the $(b,Cpool_topology) format — the same \
        file the simulator's $(b,topology) experiment reads."
-    in
-    Arg.(value & opt (some string) None & info [ "topology"; "t" ] ~docv:"SPEC" ~doc)
   in
-  let run domains seconds kind workloads capacity no_baseline out seed trace_out topo_arg =
+  let run domains seconds kind workloads capacity no_baseline churn out seed trace_out
+      topo_arg =
     (* Resolve the spec against every requested domain count up front, so a
        mismatched file or an unscalable preset is a usage error before any
        cell runs. *)
@@ -478,20 +377,21 @@ let mc_throughput_cmd =
     let workloads = override_seconds seconds workloads in
     if List.exists (fun d -> d < 1) domains || domains = [] then
       usage_error "--domains needs positive counts"
-    else if (match seconds with Some s -> s <= 0.0 | None -> false) then
-      usage_error "--seconds must be positive"
     else if
       List.exists (fun w -> not (Cpool_intf.Workload.closed w)) workloads
     then
       usage_error
         "mc-throughput is a closed-loop harness; open-loop arrivals belong to \
          mc-siege"
-    else if (match capacity with Some c -> c < 1 | None -> false) then
-      usage_error "--capacity must be at least 1"
+    else if churn && trace_out <> None then
+      (* Every retired handle keeps its full event ring, so a churned
+         Chrome export grows with the run length (~0.8 GB for one 4-domain
+         cell of 0.3 s) instead of staying at one ring per worker. *)
+      usage_error "--trace and --churn do not combine (one event ring per retired handle)"
     else
-      match topo with
-      | Error msg -> usage_error "%s" msg
-      | Ok topo ->
+      match (bad_seconds_or_capacity seconds capacity, topo) with
+      | Some msg, _ | None, Error msg -> usage_error "%s" msg
+      | None, Ok topo ->
     begin
       let kinds = match kind with Some k -> [ k ] | None -> Cpool_intf.all in
       let config =
@@ -501,6 +401,7 @@ let mc_throughput_cmd =
           workloads;
           baseline = not no_baseline;
           capacity;
+          churn;
           seed;
           trace = trace_out <> None;
           topo_of = Option.map (fun t -> t.resolve) topo;
@@ -508,28 +409,27 @@ let mc_throughput_cmd =
       in
       let results = Cpool_mc.Mc_bench.run config in
       print_string (Cpool_mc.Mc_bench.render results);
-      (match out with
-      | None -> ()
-      | Some file ->
-        let doc = Cpool_mc.Mc_bench.to_json config results in
-        let oc = open_out file in
-        output_string oc (Cpool_util.Json.to_string doc);
-        close_out oc;
-        Printf.printf "\nwrote %s (%d cells)\n" file (List.length results));
+      write_json out (Cpool_mc.Mc_bench.to_json config results);
+      Printf.printf "\nwrote %s (%d cells)\n" out (List.length results);
       (match trace_out with
       | None -> ()
       | Some file ->
-        let doc = Cpool_mc.Mc_bench.to_chrome results in
         let events =
           List.fold_left
-            (fun acc r -> acc + Cpool_mc.Mc_trace.total_recorded r.Cpool_mc.Mc_bench.traces)
+            (fun acc r ->
+              acc + Cpool_mc.Mc_trace.total_recorded r.Cpool_mc.Mc_bench.run.traces)
             0 results
         in
-        let oc = open_out file in
-        output_string oc (Cpool_util.Json.to_string doc);
-        close_out oc;
+        write_json file (Cpool_mc.Mc_bench.to_chrome results);
         Printf.printf "wrote %s (%d events recorded)\n" file events);
-      0
+      match
+        List.filter (fun r -> r.Cpool_mc.Mc_bench.run.violations <> []) results
+      with
+      | [] -> 0
+      | bad ->
+        Format.eprintf "pools_bench: %d cell(s) violated invariants (see above)@."
+          (List.length bad);
+        1
     end
   in
   let doc = "Measure mc-pool throughput: lock-free fast path vs all-mutex baseline" in
@@ -541,7 +441,11 @@ let mc_throughput_cmd =
          domain count × operation mix (the paper's sufficient and sparse regimes), \
          each cell twice — with the segments' lock-free owner path and with the \
          all-mutex baseline — and reports ops/sec, sampled p50/p99 per-op latency, \
-         fast-path vs locked-path hit counts and the batched-steal profile. With \
+         fast-path vs locked-path hit counts and the batched-steal profile. Every \
+         cell drains to quiescence and is checked: element conservation, \
+         per-segment count consistency, the capacity bound (watched \
+         concurrently), slot-leak freedom, and telemetry against ground truth; \
+         any violation exits 1. With \
          $(b,--topology) the grid gains topology cells: each selected kind runs on \
          the emulated machine with near-first (topology-aware) policies and, unless \
          $(b,--no-baseline), with distance-oblivious ones — same latencies, blind \
@@ -552,140 +456,11 @@ let mc_throughput_cmd =
   Cmd.v
     (Cmd.info "mc-throughput" ~doc ~man)
     Term.(
-      const run $ domains $ seconds $ bench_kind $ workloads $ capacity $ no_baseline $ out
-      $ bench_seed $ trace_out $ topology)
-
-(* --- mc-trace: trace a real run and replay the paper's strip charts --- *)
-
-let mc_trace_cmd =
-  let domains =
-    let doc = "Worker domains (= pool segments). Defaults to the recommended domain count." in
-    Arg.(value & opt (some int) None & info [ "domains"; "d" ] ~docv:"N" ~doc)
-  in
-  let seconds =
-    let doc = "Override the workload's duration (seconds to trace)." in
-    Arg.(value & opt (some float) None & info [ "seconds"; "s" ] ~docv:"SEC" ~doc)
-  in
-  let trace_kind =
-    let doc = "Search algorithm: $(b,linear), $(b,random), $(b,tree) or $(b,hinted)." in
-    Arg.(
-      value
-      & opt kind_conv (Some Cpool_mc.Mc_pool.Hinted)
-      & info [ "kind"; "k" ] ~docv:"KIND" ~doc)
-  in
-  let capacity =
-    let doc = "Per-segment capacity (omit for unbounded segments)." in
-    Arg.(value & opt (some int) None & info [ "capacity" ] ~docv:"N" ~doc)
-  in
-  let workload =
-    let doc = workload_doc ^ " Must be closed-loop and uniform." in
-    Arg.(
-      value
-      & opt workload_conv { Cpool_intf.Workload.default with mix = 0.4 }
-      & info [ "workload"; "w" ] ~docv:"SPEC" ~doc)
-  in
-  let trace_seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"S" ~doc:"Base random seed.")
-  in
-  let out =
-    let doc = "Write Chrome trace-event JSON to $(docv) (load at ui.perfetto.dev)." in
-    Arg.(
-      value & opt (some string) (Some "TRACE_mcpool.json") & info [ "out"; "o" ] ~docv:"FILE" ~doc)
-  in
-  let buckets =
-    let doc = "Time buckets of the segment-size strip chart." in
-    Arg.(value & opt int 72 & info [ "buckets" ] ~docv:"N" ~doc)
-  in
-  let run domains seconds kind capacity workload seed out buckets =
-    let domains =
-      match domains with
-      | Some d -> d
-      | None -> min 8 (max 2 (Domain.recommended_domain_count ()))
-    in
-    let workload = List.hd (override_seconds seconds [ workload ]) in
-    if domains < 1 then usage_error "--domains must be at least 1"
-    else if workload.Cpool_intf.Workload.duration_s <= 0.0 then
-      usage_error "--seconds must be positive"
-    else if buckets < 1 then usage_error "--buckets must be at least 1"
-    else if (match capacity with Some c -> c < 1 | None -> false) then
-      usage_error "--capacity must be at least 1"
-    else if not (Cpool_intf.Workload.closed workload) then
-      usage_error
-        "mc-trace is a closed-loop harness; open-loop arrivals belong to \
-         mc-siege"
-    else if workload.Cpool_intf.Workload.arrangement <> Cpool_intf.Workload.Uniform
-    then usage_error "mc-trace runs a uniform arrangement"
-    else begin
-      let kind = match kind with Some k -> k | None -> Cpool_mc.Mc_pool.Hinted in
-      let cfg =
-        {
-          Cpool_mc.Mc_stress.domains;
-          kind;
-          capacity;
-          workload;
-          churn = false;
-          seed;
-          trace = true;
-        }
-      in
-      let report = Cpool_mc.Mc_stress.run cfg in
-      print_endline (Cpool_mc.Mc_stress.render report);
-      let traces = report.Cpool_mc.Mc_stress.traces in
-      let counts = Cpool_mc.Mc_trace.counts traces in
-      print_endline
-        (Cpool_metrics.Render.table ~title:"event counts (drop-proof totals)"
-           ~headers:[ "event"; "count" ]
-           ~rows:
-             (List.filter_map
-                (fun (tag, n) ->
-                  if n = 0 then None
-                  else Some [ Cpool_mc.Mc_trace.tag_name tag; string_of_int n ])
-                counts)
-           ());
-      let series = Cpool_mc.Mc_trace.size_series ~segments:domains traces in
-      let grid = Cpool_metrics.Trace.grid series ~buckets in
-      let labels = Array.init domains (fun i -> Printf.sprintf "seg%d" i) in
-      print_endline
-        (Cpool_metrics.Render.strip_chart
-           ~title:
-             (Printf.sprintf "segment size over time (%s, add-bias %.2f)"
-                (Cpool_mc.Mc_stress.kind_name kind)
-                workload.Cpool_intf.Workload.mix)
-           ~labels grid);
-      (match out with
-      | None -> ()
-      | Some file ->
-        let doc = Cpool_mc.Mc_trace.to_chrome traces in
-        let oc = open_out file in
-        output_string oc (Cpool_util.Json.to_string doc);
-        close_out oc;
-        Printf.printf "wrote %s (%d events recorded, %d overwritten)\n" file
-          (Cpool_mc.Mc_trace.total_recorded traces)
-          (Cpool_mc.Mc_trace.total_dropped traces));
-      if Cpool_mc.Mc_stress.passed report then 0
-      else begin
-        Format.eprintf "pools_bench: traced run violated invariants (see report above)@.";
-        1
-      end
-    end
-  in
-  let doc = "Trace a real mc-pool run and replay the paper's segment-size charts" in
-  let man =
-    [
-      `S Manpage.s_description;
-      `P
-        "Runs one traced mc-stress cell (churn off), cross-checks the event-derived \
-         steal/hint counts against the merged telemetry, prints the drop-proof \
-         per-event totals and the segment-size-over-time strip chart (the paper's \
-         Figures 3-6, from a real run instead of the simulator), and writes Chrome \
-         trace-event JSON for Perfetto. Exits non-zero if any invariant is violated.";
-    ]
-  in
-  Cmd.v
-    (Cmd.info "mc-trace" ~doc ~man)
-    Term.(
-      const run $ domains $ seconds $ trace_kind $ capacity $ workload
-      $ trace_seed $ out $ buckets)
+      const run $ domains $ seconds_arg "cell"
+      $ kind_arg (Some Cpool_mc.Mc_pool.Linear)
+      $ workloads $ capacity_arg $ no_baseline $ churn
+      $ out_arg "BENCH_mcpool.json" "report"
+      $ seed_arg $ trace_out $ topology)
 
 (* --- mc-siege: open-loop load harness and breaking-point finder ------- *)
 
@@ -694,34 +469,17 @@ let mc_siege_cmd =
     let doc = "Worker domains (= pool segments). Defaults to the recommended domain count." in
     Arg.(value & opt (some int) None & info [ "domains"; "d" ] ~docv:"N" ~doc)
   in
-  let siege_kind =
-    let doc = "Search algorithm: $(b,linear), $(b,random), $(b,tree), $(b,hinted) or $(b,all)." in
-    Arg.(value & opt kind_conv None & info [ "kind"; "k" ] ~docv:"KIND" ~doc)
-  in
   let workloads =
-    let doc =
-      workload_doc
-      ^ " Repeatable, one saturation search each; defaults to the $(b,siege) \
-         preset. Must be open-loop (a non-closed arrival); the spec's rate is \
-         the ramp's starting load."
-    in
-    Arg.(value & opt_all workload_conv [] & info [ "workload"; "w" ] ~docv:"SPEC" ~doc)
-  in
-  let seconds =
-    let doc = "Override every selected workload's duration (seconds per load point)." in
-    Arg.(value & opt (some float) None & info [ "seconds"; "s" ] ~docv:"SEC" ~doc)
-  in
-  let capacity =
-    let doc = "Per-segment capacity (omit for unbounded segments)." in
-    Arg.(value & opt (some int) None & info [ "capacity" ] ~docv:"N" ~doc)
+    workloads_arg
+      "Repeatable, one saturation search each; defaults to the $(b,siege) \
+       preset. Must be open-loop (a non-closed arrival); the spec's rate is \
+       the ramp's starting load."
   in
   let topology =
-    let doc =
+    topology_arg
       "Attach a locality model (remote-delay sweep): $(b,two-group:PENALTY) / \
        $(b,two-group:PENALTY:UNIT_NS) or a $(b,Cpool_topology) file — the same \
        specs mc-throughput accepts."
-    in
-    Arg.(value & opt (some string) None & info [ "topology"; "t" ] ~docv:"SPEC" ~doc)
   in
   let topo_blind =
     Arg.(
@@ -742,16 +500,6 @@ let mc_siege_cmd =
   let bisect =
     let doc = "Bisection refinements after the geometric ramp." in
     Arg.(value & opt int 3 & info [ "bisect" ] ~docv:"N" ~doc)
-  in
-  let siege_seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"S" ~doc:"Base random seed.")
-  in
-  let out =
-    let doc = "Write the JSON curve to $(docv) (omit to skip the file)." in
-    Arg.(
-      value
-      & opt (some string) (Some "BENCH_mcsiege.json")
-      & info [ "out"; "o" ] ~docv:"FILE" ~doc)
   in
   let run domains kind workloads seconds capacity topo_arg topo_blind p99_bound
       max_rate bisect seed out =
@@ -777,11 +525,10 @@ let mc_siege_cmd =
         Result.bind (parse_topo_spec spec) (fun ts ->
             Result.map Option.some (ts.resolve domains))
     in
+    match bad_seconds_or_capacity seconds capacity with
+    | Some msg -> usage_error "%s" msg
+    | None ->
     if domains < 2 then usage_error "--domains must be at least 2"
-    else if (match seconds with Some s -> s <= 0.0 | None -> false) then
-      usage_error "--seconds must be positive"
-    else if (match capacity with Some c -> c < 1 | None -> false) then
-      usage_error "--capacity must be at least 1"
     else if List.exists Cpool_intf.Workload.closed workloads then
       usage_error
         "mc-siege is open-loop: give the workload an arrival process \
@@ -831,15 +578,13 @@ let mc_siege_cmd =
             kinds
         in
         print_string (Cpool_mc.Mc_siege.render outcomes);
-        (match out with
-        | None -> ()
-        | Some file ->
-          let doc = Cpool_mc.Mc_siege.to_json outcomes in
-          let oc = open_out file in
-          output_string oc (Cpool_util.Json.to_string doc);
-          close_out oc;
-          Printf.printf "wrote %s (%d cells)\n" file (List.length outcomes));
-        0
+        write_json out (Cpool_mc.Mc_siege.to_json outcomes);
+        Printf.printf "wrote %s (%d cells)\n" out (List.length outcomes);
+        if List.for_all (fun o -> Cpool_mc.Mc_siege.violations o = []) outcomes then 0
+        else begin
+          Format.eprintf "pools_bench: siege points violated invariants (see above)@.";
+          1
+        end
   in
   let doc = "Open-loop siege: find each pool's breaking point under arrival-driven load" in
   let man =
@@ -863,8 +608,9 @@ let mc_siege_cmd =
   Cmd.v
     (Cmd.info "mc-siege" ~doc ~man)
     Term.(
-      const run $ domains $ siege_kind $ workloads $ seconds $ capacity $ topology
-      $ topo_blind $ p99_bound $ max_rate $ bisect $ siege_seed $ out)
+      const run $ domains $ kind_arg None $ workloads $ seconds_arg "load point"
+      $ capacity_arg $ topology $ topo_blind $ p99_bound $ max_rate $ bisect $ seed_arg
+      $ out_arg "BENCH_mcsiege.json" "curve")
 
 (* --- mc-app: the paper's applications on real domains ------------------ *)
 
@@ -898,16 +644,6 @@ let mc_app_cmd =
     let doc = "Runs per cell; each cell keeps the fastest." in
     Arg.(value & opt int App.default.App.repeats & info [ "repeats" ] ~docv:"N" ~doc)
   in
-  let app_seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"S" ~doc:"Pool construction seed.")
-  in
-  let out =
-    let doc = "Write the JSON report to $(docv) (omit to skip the file)." in
-    Arg.(
-      value
-      & opt (some string) (Some "BENCH_mcapp.json")
-      & info [ "out"; "o" ] ~docv:"FILE" ~doc)
-  in
   let run domains kind plies fork_plies queens fork_depth repeats seed out =
     if domains = [] || List.exists (fun d -> d < 1) domains then
       usage_error "--domains needs positive counts"
@@ -931,14 +667,8 @@ let mc_app_cmd =
       | exception Invalid_argument msg -> usage_error "%s" msg
       | summary ->
         print_string (App.render summary);
-        (match out with
-        | None -> ()
-        | Some file ->
-          let doc = App.to_json summary in
-          let oc = open_out file in
-          output_string oc (Cpool_util.Json.to_string doc);
-          close_out oc;
-          Printf.printf "\nwrote %s (%d cells)\n" file (List.length summary.App.cells));
+        write_json out (App.to_json summary);
+        Printf.printf "\nwrote %s (%d cells)\n" out (List.length summary.App.cells);
         let bad = List.filter (fun c -> not c.App.ok) summary.App.cells in
         if bad = [] then 0
         else begin
@@ -975,7 +705,7 @@ let mc_app_cmd =
     (Cmd.info "mc-app" ~doc ~man)
     Term.(
       const run $ domains $ app_kind $ app_plies $ fork_plies $ queens $ fork_depth
-      $ repeats $ app_seed $ out)
+      $ repeats $ seed_arg $ out_arg "BENCH_mcapp.json" "report")
 
 (* --- siege-diff: regression gate against the committed baseline -------- *)
 
@@ -1010,7 +740,7 @@ let siege_diff_cmd =
     | Ok baseline -> (
       let fresh =
         match fresh_file with
-        | Some file -> read file
+        | Some file -> Result.map (fun doc -> (doc, [])) (read file)
         | None -> (
           (* Rerun every baseline cell with its own recorded config — the
              artifact carries everything needed to reproduce itself. *)
@@ -1033,19 +763,29 @@ let siege_diff_cmd =
           | Ok cfgs ->
             let outcomes = List.rev_map Cpool_mc.Mc_siege.run cfgs in
             print_string (Cpool_mc.Mc_siege.render outcomes);
-            Ok (Cpool_mc.Mc_siege.to_json outcomes))
+            (* A rerun point that broke an invariant fails the gate too. *)
+            Ok
+              ( Cpool_mc.Mc_siege.to_json outcomes,
+                List.concat_map
+                  (fun o ->
+                    List.map
+                      (Printf.sprintf "cell %s: %s" (Cpool_mc.Mc_siege.cell_label o))
+                      (Cpool_mc.Mc_siege.violations o))
+                  outcomes ))
       in
       match fresh with
       | Error msg -> usage_error "%s" msg
-      | Ok fresh -> (
+      | Ok (fresh, violations) -> (
         match Cpool_mc.Mc_siege.diff ~baseline ~fresh with
         | Error msg -> usage_error "%s" msg
-        | Ok [] ->
+        | Ok regressions when violations <> [] || regressions <> [] ->
+          List.iter
+            (fun r -> Format.eprintf "pools_bench: %s@." r)
+            (violations @ regressions);
+          1
+        | Ok _ ->
           Printf.printf "siege-diff: OK against %s\n" baseline_file;
-          0
-        | Ok regressions ->
-          List.iter (fun r -> Format.eprintf "pools_bench: %s@." r) regressions;
-          1))
+          0))
   in
   let doc = "Gate a fresh mc-siege run against the committed baseline curve" in
   let man =
@@ -1053,7 +793,8 @@ let siege_diff_cmd =
       `S Manpage.s_description;
       `P
         "Reruns every cell recorded in $(b,BASELINE) (or reads $(b,--fresh)) \
-         and fails — exit 1 — when a cell went missing, its best surviving \
+         and fails — exit 1 — when a rerun point broke an invariant, a cell \
+         went missing, its best surviving \
          throughput dropped more than the baseline's \
          $(b,max_throughput_drop_pct), or its p99 at the lightest load \
          inflated past $(b,max_p99_inflation_pct). The thresholds live in the \
@@ -1123,12 +864,10 @@ let main =
     [
       run_cmd;
       list_cmd;
-      mc_stress_cmd;
       mc_throughput_cmd;
       mc_app_cmd;
       mc_siege_cmd;
       siege_diff_cmd;
-      mc_trace_cmd;
       json_check_cmd;
     ]
 

@@ -1,6 +1,7 @@
 #!/bin/sh
-# Repo verification: build, tier-1 tests, and a short multicore stress smoke
-# with invariant checks (conservation, capacity bound, slot lifecycle).
+# Repo verification: build, tier-1 tests, lint, and short multicore smokes
+# whose every cell is invariant-checked (conservation, capacity bound, slot
+# lifecycle, telemetry and trace agreement).
 # Uses only packages a standard dev switch already has; exits non-zero on
 # any failure. CI runs exactly this script.
 set -eu
@@ -41,12 +42,19 @@ if [ "$interleave_elapsed" -gt "$interleave_budget" ]; then
 fi
 echo "check.sh: interleave took ${interleave_elapsed}s (budget ${interleave_budget}s)"
 
-echo "== mc-stress smoke (all kinds, bounded + unbounded) =="
-dune exec bin/pools_bench.exe -- mc-stress --domains 4 --seconds 0.5 --capacity 32
+echo "== mc-throughput soak (all kinds, unbounded + capacity 32, churn on) =="
+# Every mc-throughput cell drains to quiescence and runs the invariant
+# checks (exit 1 on any violation); --churn adds register/deregister churn.
+dune exec bin/pools_bench.exe -- mc-throughput --domains 4 --seconds 0.5 \
+  --kind all --workload default --churn --out BENCH_mcsoak_smoke.json
+dune exec bin/pools_bench.exe -- mc-throughput --domains 4 --seconds 0.5 \
+  --kind all --workload default --churn --capacity 32 \
+  --out BENCH_mcsoak_bounded_smoke.json
 
-echo "== mc-stress smoke (hinted hand-off under a sparse mix) =="
-dune exec bin/pools_bench.exe -- mc-stress --domains 4 --seconds 0.3 \
-  -k hinted --workload mix=0.35,initial=8
+echo "== mc-throughput soak (hinted hand-off under a sparse mix) =="
+dune exec bin/pools_bench.exe -- mc-throughput --domains 4 --seconds 0.3 \
+  --kind hinted --workload mix=0.35,initial=8 --churn \
+  --out BENCH_mchinted_soak_smoke.json
 
 echo "== mc-throughput smoke (fast path vs all-mutex baseline) =="
 dune exec bin/pools_bench.exe -- mc-throughput --domains 2 --seconds 0.2 \
@@ -63,9 +71,10 @@ dune exec bin/pools_bench.exe -- mc-throughput --domains 4 --seconds 0.2 \
   --kind linear --workload sparse --topology topo/two_group.topo \
   --out BENCH_mctopo_smoke.json
 
-echo "== mc-trace smoke (traced run, event/telemetry reconciliation) =="
-dune exec bin/pools_bench.exe -- mc-trace --domains 3 --seconds 0.3 \
-  --workload mix=0.4,initial=11 --out TRACE_mcpool_smoke.json
+echo "== mc-throughput --trace smoke (traced hinted cell, event/telemetry reconciliation) =="
+dune exec bin/pools_bench.exe -- mc-throughput --domains 3 --seconds 0.3 \
+  --kind hinted --workload mix=0.4,initial=11 \
+  --trace TRACE_mcpool_smoke.json --out BENCH_mctrace_smoke.json
 
 echo "== mc-app smoke (minimax + n-queens on real domains, pool vs stack) =="
 # Tiny parameters: the full grid is the committed BENCH_mcapp.json; this
@@ -110,12 +119,20 @@ dune exec bin/pools_bench.exe -- mc-siege --domains 2 --kind linear \
 echo "== json-check (benchmark artifacts parse and validate) =="
 # The topology artifact's near/far steal split is validated here too
 # (near_steals + far_steals must equal steals in every topology cell).
+dune exec bin/pools_bench.exe -- json-check BENCH_mcsoak_smoke.json
+dune exec bin/pools_bench.exe -- json-check BENCH_mcsoak_bounded_smoke.json
+dune exec bin/pools_bench.exe -- json-check BENCH_mchinted_soak_smoke.json
+dune exec bin/pools_bench.exe -- json-check BENCH_mctrace_smoke.json
 dune exec bin/pools_bench.exe -- json-check BENCH_mcpool_smoke.json
 dune exec bin/pools_bench.exe -- json-check BENCH_mcpool_hinted_smoke.json
 dune exec bin/pools_bench.exe -- json-check BENCH_mctopo_smoke.json
 dune exec bin/pools_bench.exe -- json-check TRACE_mcpool_smoke.json
 dune exec bin/pools_bench.exe -- json-check BENCH_mcsiege_smoke.json
 dune exec bin/pools_bench.exe -- json-check BENCH_mcapp_smoke.json
+# The committed artifacts must keep validating too.
+dune exec bin/pools_bench.exe -- json-check BENCH_mcpool.json
+dune exec bin/pools_bench.exe -- json-check BENCH_mcsiege.json
+dune exec bin/pools_bench.exe -- json-check BENCH_mcapp.json
 
 echo "== siege-diff gate (fresh smoke vs itself, then the committed baseline) =="
 # Self-diff must always be clean — it exercises the pairing and threshold
@@ -127,12 +144,14 @@ dune exec bin/pools_bench.exe -- siege-diff BENCH_mcsiege_smoke.json \
 dune exec bin/pools_bench.exe -- siege-diff BENCH_mcsiege.json
 rm -f BENCH_mcpool_smoke.json BENCH_mcpool_hinted_smoke.json \
   BENCH_mctopo_smoke.json TRACE_mcpool_smoke.json BENCH_mcsiege_smoke.json \
-  BENCH_mcapp_smoke.json
+  BENCH_mcapp_smoke.json BENCH_mcsoak_smoke.json BENCH_mcsoak_bounded_smoke.json \
+  BENCH_mchinted_soak_smoke.json BENCH_mctrace_smoke.json
 
 echo "== usage-error exit codes (pools_bench, PR 7 convention) =="
 # mc-throughput must reject nonsense flags with a usage error on stderr
 # and exit 2 (0 = clean, 1 = findings, 2 = usage).
-for bad in "--domains 0" "--seconds=-1" "--topology nonexistent.topo"; do
+for bad in "--domains 0" "--seconds=-1" "--topology nonexistent.topo" \
+  "--churn --trace /dev/null --domains 2 --seconds 0.01 --no-baseline"; do
   if dune exec bin/pools_bench.exe -- mc-throughput $bad --out /dev/null \
     >/dev/null 2>&1; then
     echo "check.sh: mc-throughput $bad should have failed" >&2
@@ -147,8 +166,8 @@ for bad in "--domains 0" "--seconds=-1" "--topology nonexistent.topo"; do
   fi
 done
 # An unknown workload spec must exit 2 and list the valid forms on stderr
-# (the one parser serves mc-stress, mc-throughput and mc-siege alike).
-for cmd in mc-stress mc-throughput mc-siege; do
+# (the one parser serves mc-throughput and mc-siege alike).
+for cmd in mc-throughput mc-siege; do
   status=0
   err=$(dune exec bin/pools_bench.exe -- "$cmd" --workload bogus \
     2>&1 >/dev/null) || status=$?

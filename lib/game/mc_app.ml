@@ -273,25 +273,14 @@ let to_json summary =
 
 let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
 
-let field name json =
-  match Json.member name json with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing field %S" name)
-
-let number name json =
-  let* v = field name json in
-  match Json.to_number v with
-  | Some f -> Ok f
-  | None -> Error (Printf.sprintf "field %S is not a number" name)
-
 let integer name json =
-  let* v = field name json in
+  let* v = Json.field name json in
   match v with
   | Json.Int i -> Ok i
   | _ -> Error (Printf.sprintf "field %S is not an integer" name)
 
 let string_field name json =
-  let* v = field name json in
+  let* v = Json.field name json in
   match v with
   | Json.Str s -> Ok s
   | _ -> Error (Printf.sprintf "field %S is not a string" name)
@@ -314,7 +303,7 @@ let validate_cell i cell =
     in
     let* domains = integer "domains" cell in
     let* () = if domains >= 1 then Ok () else Error "non-positive domains" in
-    let* elapsed = number "elapsed_s" cell in
+    let* elapsed = Json.number "elapsed_s" cell in
     let* () =
       if elapsed >= 0. && Float.is_finite elapsed then Ok ()
       else Error "elapsed_s is not a finite non-negative number"
@@ -324,7 +313,7 @@ let validate_cell i cell =
     let* tasks = integer "tasks" cell in
     let* forked = integer "forked" cell in
     let* steals = integer "steals" cell in
-    let* ok = field "ok" cell in
+    let* ok = Json.field "ok" cell in
     let* () =
       match ok with
       | Json.Bool true -> Ok ()
@@ -351,13 +340,13 @@ let validate_json json =
     if benchmark = "mc-app" then Ok ()
     else Error (Printf.sprintf "benchmark is %S, not \"mc-app\"" benchmark)
   in
-  let* seq = field "sequential" json in
-  let* _ = number "minimax_s" seq in
+  let* seq = Json.field "sequential" json in
+  let* _ = Json.number "minimax_s" seq in
   let* _ = integer "minimax_value" seq in
-  let* _ = number "queens_s" seq in
+  let* _ = Json.number "queens_s" seq in
   let* solutions = integer "queens_solutions" seq in
   let* _ = integer "queens_nodes" seq in
-  let* conf = field "config" json in
+  let* conf = Json.field "config" json in
   let* repeats = integer "repeats" conf in
   let* () = if repeats >= 1 then Ok () else Error "non-positive repeats" in
   let* queens = integer "queens" conf in
@@ -369,7 +358,7 @@ let validate_json json =
            solutions k queens)
     | _ -> Ok ()
   in
-  let* cells = field "cells" json in
+  let* cells = Json.field "cells" json in
   match Json.to_list cells with
   | None -> Error "field \"cells\" is not a list"
   | Some [] -> Error "field \"cells\" is empty"

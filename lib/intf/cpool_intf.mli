@@ -24,8 +24,8 @@ val of_string : string -> (kind, string) result
 (** Case-insensitive inverse of {!to_string}; [Error] carries a message
     listing the valid kinds. *)
 
-(** A workload scenario spec shared by every driver (mc-stress,
-    mc-throughput, mc-siege): op mix, initial sparsity, arrival process,
+(** A workload scenario spec shared by every driver (mc-throughput,
+    mc-siege): op mix, initial sparsity, arrival process,
     duration and producer arrangement, with one [of_string]/[to_string]
     pair so any cell is reproducible from a single printed string. *)
 module Workload : sig

@@ -6,6 +6,7 @@ type config = {
   workloads : Workload.t list;
   baseline : bool;
   capacity : int option;
+  churn : bool;
   seed : int;
   trace : bool;
   topo_of : (int -> (Cpool_topology.t, string) result) option;
@@ -22,6 +23,7 @@ let default =
     workloads = [ Workload.sufficient; Workload.sparse ];
     baseline = true;
     capacity = None;
+    churn = false;
     seed = 42;
     trace = false;
     topo_of = None;
@@ -36,41 +38,9 @@ type cell = {
   aware : bool; (* meaningful only with [topo]: false = oblivious twin *)
 }
 
-type result = {
-  cell : cell;
-  duration : float;
-  ops : int;
-  ops_attempted : int;
-  ops_per_sec : float;
-  adds_ok : int;
-  removes_ok : int;
-  p50_us : float;
-  p99_us : float;
-  fast_ops : int;
-  locked_ops : int;
-  fast_fraction : float;
-  steals : int;
-  batched_steals : int;
-  mean_batch : float;
-  hints_published : int;
-  hints_claimed : int;
-  hints_delivered : int;
-  hints_expired : int;
-  near_steals : int;
-  far_steals : int;
-  near_probes : int;
-  far_probes : int;
-  mean_near_batch : float;
-  mean_far_batch : float;
-  traces : Mc_trace.t list;
-}
+type result = { cell : cell; p50_us : float; p99_us : float; run : Mc_run.outcome }
 
-type tally = {
-  mutable t_ops : int;
-  mutable t_adds : int;
-  mutable t_removes : int;
-  t_lat : Cpool_metrics.Sample.t; (* sampled per-op latency, µs *)
-}
+let ops_per_sec r = float_of_int r.run.Mc_run.ops /. Float.max 1e-9 r.run.Mc_run.phase_s
 
 (* Latency sampling: every [sample_every]-th batch of [batch] ops is timed
    as a group and recorded as µs per op. Group timing is what makes sub-µs
@@ -88,15 +58,10 @@ let sample_every = 8
 (* The phase mask below requires it. *)
 let () = assert (sample_every > 0 && sample_every land (sample_every - 1) = 0)
 
-let worker pool cell ~seed tally i barrier deadline_ns =
-  let rng = Cpool_util.Rng.create (Int64.of_int ((seed * 6007) + i)) in
+let phase config cell lat pool (w : Mc_run.worker) ~deadline_ns =
+  let rng = Cpool_util.Rng.create (Int64.of_int ((config.seed * 6007) + w.index)) in
   let add_threshold = int_of_float (cell.workload.Workload.mix *. 1_000_000.0) in
   let sample_phase = Cpool_util.Rng.int rng sample_every in
-  let h = Mc_pool.register_at pool i in
-  Atomic.decr barrier;
-  while Atomic.get barrier > 0 do
-    Domain.cpu_relax ()
-  done;
   (* Sparse cells use the blocking remove: the pool runs dry by design, so
      "what does a searcher do about an empty pool" — spin-searching
      (Linear/Random/Tree) vs parking on the hint board (Hinted) — is
@@ -105,6 +70,8 @@ let worker pool cell ~seed tally i barrier deadline_ns =
      keep the non-blocking remove and the sparser deadline check. *)
   let blocking = Workload.sparse_regime cell.workload in
   let deadline_mask = if blocking then 0 else 15 in
+  (* Odd-numbered workers re-register every ~4096 ops. *)
+  let churning = config.churn && w.index land 1 = 1 in
   let batches = ref 0 in
   let running = ref true in
   while !running do
@@ -112,178 +79,93 @@ let worker pool cell ~seed tally i barrier deadline_ns =
     let timed = (!batches + sample_phase) land (sample_every - 1) = 0 in
     let t0 = if timed then Cpool_util.Clock.now_ns () else 0 in
     for _ = 1 to batch do
-      tally.t_ops <- tally.t_ops + 1;
-      if Cpool_util.Rng.int rng 1_000_000 < add_threshold then begin
-        if Mc_pool.try_add pool h tally.t_ops then tally.t_adds <- tally.t_adds + 1
-      end
-      else
-        match
-          if blocking then Mc_pool.remove pool h else Mc_pool.try_remove pool h
-        with
-        | Some _ -> tally.t_removes <- tally.t_removes + 1
-        | None -> ()
+      if Cpool_util.Rng.int rng 1_000_000 < add_threshold then
+        ignore (Mc_run.add pool w w.ops : bool)
+      else ignore (Mc_run.remove pool w ~blocking : int option)
     done;
     if timed then begin
       let dt_ns = Cpool_util.Clock.now_ns () - t0 in
       (* A negative delta is impossible on a monotonic source; the guard
          survives the wall-clock fallback on clockless platforms. *)
       if dt_ns >= 0 then
-        Cpool_metrics.Sample.add tally.t_lat
+        Cpool_metrics.Sample.add lat.(w.index)
           (float_of_int dt_ns /. 1e3 /. float_of_int batch)
     end;
+    if churning && w.ops land 4095 < batch then Mc_run.churn pool w;
     if !batches land deadline_mask = 0 && Cpool_util.Clock.now_ns () >= deadline_ns
     then running := false
-  done;
-  Mc_pool.deregister pool h
+  done
 
-(* Returns the number of add attempts it made: prefill pushes note paths on
-   the segment stats like any other op, so the attempt count must join the
-   workers' in the [ops_attempted] accounting. *)
-let prefill pool ~capacity ~per_domain domains =
-  let quota = match capacity with None -> per_domain | Some c -> min per_domain c in
-  for s = 0 to domains - 1 do
-    let h = Mc_pool.register_at pool s in
-    for j = 1 to quota do
-      ignore (Mc_pool.try_add pool h j)
-    done;
-    Mc_pool.deregister pool h
-  done;
-  quota * domains
-
-let run_cell ?seconds ?(capacity = None) ?(seed = 42) ?(trace = false) cell =
+let run_cell config cell =
   if cell.domains <= 0 then invalid_arg "Mc_bench.run_cell: domains must be positive";
   if not (Workload.closed cell.workload) then
     invalid_arg "Mc_bench.run_cell: the throughput harness is closed-loop only";
-  let seconds =
-    match seconds with Some s -> s | None -> cell.workload.Workload.duration_s
-  in
-  if seconds <= 0.0 then invalid_arg "Mc_bench.run_cell: seconds must be positive";
-  let pool : int Mc_pool.t =
-    Mc_pool.of_config
+  if cell.workload.Workload.duration_s <= 0.0 then
+    invalid_arg "Mc_bench.run_cell: duration must be positive";
+  let lat = Array.init cell.domains (fun _ -> Cpool_metrics.Sample.create ()) in
+  let run =
+    Mc_run.run
       {
         Mc_pool.Config.default with
         segments = cell.domains;
         kind = cell.kind;
-        capacity;
+        capacity = config.capacity;
         fast_path = cell.fast_path;
-        trace;
+        trace = config.trace;
         topology = cell.topo;
         topology_aware = cell.aware;
       }
+      ~initial:cell.workload.Workload.initial ~fill:Fun.id
+      ~duration_s:cell.workload.Workload.duration_s
+      ~phase:(phase config cell lat)
+      ~consume:(fun _ _ -> ())
   in
-  let prefill_attempts =
-    prefill pool ~capacity ~per_domain:cell.workload.Workload.initial cell.domains
-  in
-  let tallies =
-    Array.init cell.domains (fun _ ->
-        { t_ops = 0; t_adds = 0; t_removes = 0; t_lat = Cpool_metrics.Sample.create () })
-  in
-  let barrier = Atomic.make cell.domains in
-  let t0_ns = Cpool_util.Clock.now_ns () in
-  let deadline_ns = t0_ns + Cpool_util.Clock.ns_of_s seconds in
-  let ds =
-    List.init cell.domains (fun i ->
-        Domain.spawn (fun () -> worker pool cell ~seed tallies.(i) i barrier deadline_ns))
-  in
-  List.iter Domain.join ds;
-  let duration = Cpool_util.Clock.elapsed_s ~since_ns:t0_ns in
-  let seg = Mc_stats.merge_all (Array.to_list (Mc_pool.segment_stats pool)) in
-  (* Hint counters live on the handle side; [Mc_pool.stats] merges every
-     handle ever issued (the workers just deregistered, so it is exact). *)
-  let all = Mc_pool.stats pool in
   let lat =
-    Array.fold_left
-      (fun acc t -> Cpool_metrics.Sample.merge acc t.t_lat)
-      (Cpool_metrics.Sample.create ())
-      tallies
+    Array.fold_left Cpool_metrics.Sample.merge (Cpool_metrics.Sample.create ()) lat
   in
-  let sum f = Array.fold_left (fun acc t -> acc + f t) 0 tallies in
-  let ops = sum (fun t -> t.t_ops) in
   {
     cell;
-    duration;
-    ops;
-    ops_attempted = ops + prefill_attempts;
-    ops_per_sec = float_of_int ops /. Float.max 1e-9 duration;
-    adds_ok = sum (fun t -> t.t_adds);
-    removes_ok = sum (fun t -> t.t_removes);
     p50_us = Cpool_metrics.Sample.median lat;
     p99_us = Cpool_metrics.Sample.percentile lat 99.0;
-    fast_ops = Mc_stats.fast_path_ops seg;
-    locked_ops = Mc_stats.locked_path_ops seg;
-    fast_fraction = Mc_stats.fast_path_fraction seg;
-    steals = Mc_pool.steals pool;
-    (* Batch telemetry lives on the thief's handle now, so it comes from
-       the merged handle stats, not the (victim) segment stats. *)
-    batched_steals =
-      Cpool_metrics.Counters.get (Mc_stats.counters all) "batched steals";
-    mean_batch = Cpool_metrics.Sample.mean (Mc_stats.steal_batch_sizes all);
-    hints_published = Mc_stats.hints_published all;
-    hints_claimed = Mc_stats.hints_claimed all;
-    hints_delivered = Mc_stats.hints_delivered all;
-    hints_expired = Mc_stats.hints_expired all;
-    near_steals = Mc_stats.near_steals all;
-    far_steals = Mc_stats.far_steals all;
-    near_probes = Mc_stats.near_probes all;
-    far_probes = Mc_stats.far_probes all;
-    mean_near_batch = Cpool_metrics.Sample.mean (Mc_stats.near_steal_batch_sizes all);
-    mean_far_batch = Cpool_metrics.Sample.mean (Mc_stats.far_steal_batch_sizes all);
-    traces = Mc_pool.traces pool;
+    run;
   }
 
-let run config =
-  let protocols = if config.baseline then [ true; false ] else [ true ] in
-  let grid =
+(* Grid order: kind, then domains, then workload, then the twin — fast vs
+   mutex on the plain grid, aware vs oblivious on the topology cells. The
+   topology cells always run the lock-free path, so that comparison
+   isolates the probe-ordering policy on the same emulated machine. The
+   CLI pre-validates the topology spec, so a resolution failure here is a
+   driver bug, not user error. *)
+let cells config =
+  let twins = if config.baseline then [ true; false ] else [ true ] in
+  let grid mk =
     List.concat_map
       (fun kind ->
         List.concat_map
           (fun domains ->
             List.concat_map
-              (fun workload ->
-                List.map
-                  (fun fast_path ->
-                    run_cell ~capacity:config.capacity ~seed:config.seed
-                      ~trace:config.trace
-                      { kind; domains; workload; fast_path; topo = None; aware = true })
-                  protocols)
+              (fun workload -> List.map (mk kind domains workload) twins)
               config.workloads)
           config.domain_counts)
       config.kinds
   in
+  let plain =
+    grid (fun kind domains workload fast_path ->
+        { kind; domains; workload; fast_path; topo = None; aware = true })
+  in
   match config.topo_of with
-  | None -> grid
+  | None -> plain
   | Some topo_of ->
-    (* Topology cells: always on the lock-free path; the twin dimension is
-       aware vs distance-oblivious instead of fast vs mutex, so the
-       comparison isolates the probe-ordering policy on the same emulated
-       machine. The CLI pre-validates the spec, so a resolution failure
-       here is a driver bug, not user error. *)
-    let policies = if config.baseline then [ true; false ] else [ true ] in
-    grid
-    @ List.concat_map
-        (fun kind ->
-          List.concat_map
-            (fun domains ->
-              let topo =
-                match topo_of domains with
-                | Ok t -> t
-                | Error msg -> failwith ("Mc_bench.run: " ^ msg)
-              in
-              List.concat_map
-                (fun workload ->
-                  List.map
-                    (fun aware ->
-                      run_cell ~capacity:config.capacity ~seed:config.seed
-                        ~trace:config.trace
-                        { kind; domains; workload; fast_path = true;
-                          topo = Some topo; aware })
-                    policies)
-                config.workloads)
-            config.domain_counts)
-        config.kinds
+    plain
+    @ grid (fun kind domains workload aware ->
+          match topo_of domains with
+          | Ok t -> { kind; domains; workload; fast_path = true; topo = Some t; aware }
+          | Error msg -> failwith ("Mc_bench.run: " ^ msg))
+
+let run config = List.map (run_cell config) (cells config)
 
 let cell_label c =
-  Printf.sprintf "%s/%dd/%s/%s%s" (Mc_stress.kind_name c.kind) c.domains
+  Printf.sprintf "%s/%dd/%s/%s%s" (Cpool_intf.to_string c.kind) c.domains
     (Workload.mix_label c.workload)
     (if c.fast_path then "fast" else "mutex")
     (match c.topo with
@@ -291,22 +173,107 @@ let cell_label c =
     | Some _ -> if c.aware then "/topo" else "/topo-blind")
 
 let to_chrome results =
-  Mc_trace.to_chrome_labeled
-    (List.map (fun r -> (cell_label r.cell, r.traces)) results)
+  Mc_trace.to_chrome (List.map (fun r -> (cell_label r.cell, r.run.Mc_run.traces)) results)
+
+(* Buckets of the segment-size strip chart (the paper's Figures 3-6 drawn
+   from a traced real run). *)
+let strip_buckets = 72
+
+(* The per-cell report of a traced run: throughput, the per-domain and
+   per-segment telemetry, the steal distributions, the drop-proof event
+   totals and the segment-size strip chart. *)
+let render_traced r =
+  let o = r.run in
+  let buf = Buffer.create 1024 in
+  let add s = Buffer.add_string buf s; Buffer.add_char buf '\n' in
+  let line fmt = Printf.ksprintf add fmt in
+  line "--- %s: %.2fs mixed phase, %.2fs with the drain ---" (cell_label r.cell)
+    o.Mc_run.phase_s o.elapsed_s;
+  line "%d ops (%.0f ops/s): %d+%d adds (%d rejected), %d removes, %d steals" o.ops
+    (ops_per_sec r) o.initial_added o.adds o.rejects o.removes o.steals;
+  line "trace: %d events recorded, %d overwritten by ring overflow"
+    (Mc_trace.total_recorded o.traces)
+    (Mc_trace.total_dropped o.traces);
+  add (Mc_stats.render_table ~title:"per-domain telemetry" o.per_worker);
+  line "parking: %d parks, %d wakes" (Mc_stats.parks o.merged) (Mc_stats.wakes o.merged);
+  if r.cell.kind = Mc_pool.Hinted then
+    line "hint board: %d published, %d claimed, %d delivered, %d expired"
+      (Mc_stats.hints_published o.merged)
+      (Mc_stats.hints_claimed o.merged)
+      (Mc_stats.hints_delivered o.merged)
+      (Mc_stats.hints_expired o.merged);
+  add (Mc_stats.render_path_table ~title:"ring fast/locked paths (per segment)" o.per_segment);
+  let module S = Cpool_metrics.Sample in
+  let dist name sample =
+    name
+    :: List.map Cpool_metrics.Render.float_cell
+         [ S.mean sample; S.median sample; S.percentile sample 95.0; S.max_value sample ]
+  in
+  let elems = Mc_stats.elements_per_steal o.merged in
+  add
+    (Cpool_metrics.Render.table ~title:"steal distributions (pool-wide)"
+       ~headers:[ "metric"; "mean"; "p50"; "p95"; "max" ]
+       ~rows:
+         [
+           dist "segments examined/steal" (Mc_stats.segments_per_steal o.merged);
+           dist "elements stolen/steal" elems;
+         ]
+       ());
+  if not (S.is_empty elems) then begin
+    let hi = Float.max 8.0 (S.max_value elems) in
+    let h = Cpool_metrics.Histogram.create ~lo:0.0 ~hi:(hi +. 1.0) ~bins:8 in
+    List.iter (Cpool_metrics.Histogram.add h) (S.values elems);
+    add
+      (Cpool_metrics.Render.table ~title:"elements stolen per steal"
+         ~headers:[ "range"; "steals" ]
+         ~rows:
+           (List.map
+              (fun (range, n) -> [ range; string_of_int n ])
+              (Cpool_metrics.Histogram.to_rows h))
+         ())
+  end;
+  add
+    (Cpool_metrics.Render.table ~title:"event counts (drop-proof totals)"
+       ~headers:[ "event"; "count" ]
+       ~rows:
+         (List.filter_map
+            (fun (tag, n) ->
+              if n = 0 then None else Some [ Mc_trace.tag_name tag; string_of_int n ])
+            (Mc_trace.counts o.traces))
+       ());
+  let segments = r.cell.domains in
+  add
+    (Cpool_metrics.Render.strip_chart
+       ~title:(Printf.sprintf "segment size over time (%s)" (cell_label r.cell))
+       ~labels:(Array.init segments (Printf.sprintf "seg%d"))
+       (Cpool_metrics.Trace.grid
+          (Mc_trace.size_series ~segments o.traces)
+          ~buckets:strip_buckets));
+  Buffer.contents buf
+
+(* The pool-wide counters behind a cell's row: path counters live on the
+   segments, everything else (batches, hints, locality) on the handles —
+   [merged] covers every handle ever issued, exact once the workers quit. *)
+let paths r = Mc_stats.merge_all (List.map snd r.run.Mc_run.per_segment)
+
+let batched_steals r =
+  Cpool_metrics.Counters.get (Mc_stats.counters r.run.Mc_run.merged) "batched steals"
+
+let mean_batch r = Cpool_metrics.Sample.mean (Mc_stats.steal_batch_sizes r.run.Mc_run.merged)
 
 let render results =
   let buf = Buffer.create 1024 in
   let row r =
     [
       cell_label r.cell;
-      Printf.sprintf "%.0f" r.ops_per_sec;
+      Printf.sprintf "%.0f" (ops_per_sec r);
       Cpool_metrics.Render.float_cell r.p50_us;
       Cpool_metrics.Render.float_cell r.p99_us;
-      Cpool_metrics.Render.float_cell (100.0 *. r.fast_fraction);
-      string_of_int r.steals;
-      string_of_int r.batched_steals;
-      Cpool_metrics.Render.float_cell r.mean_batch;
-      string_of_int r.hints_delivered;
+      Cpool_metrics.Render.float_cell (100.0 *. Mc_stats.fast_path_fraction (paths r));
+      string_of_int r.run.steals;
+      string_of_int (batched_steals r);
+      Cpool_metrics.Render.float_cell (mean_batch r);
+      string_of_int (Mc_stats.hints_delivered r.run.merged);
     ]
   in
   Buffer.add_string buf
@@ -317,67 +284,54 @@ let render results =
            "elems/batch"; "deliv";
          ]
        ~rows:(List.map row results) ());
-  (* Speedups: pair each fast cell with its all-mutex twin. *)
-  let twins =
-    List.filter_map
-      (fun r ->
-        if not r.cell.fast_path then None
-        else
-          List.find_opt
-            (fun b -> (not b.cell.fast_path) && b.cell = { r.cell with fast_path = false })
-            results
-          |> Option.map (fun b -> (r, b)))
-      results
+  (* Each cell against its twin, when [twin] names one and it ran. *)
+  let versus ~twin ~label ~over =
+    let pairs =
+      List.filter_map
+        (fun r ->
+          Option.bind (twin r.cell) (fun c ->
+              List.find_opt (fun b -> b.cell = c) results |> Option.map (fun b -> (r, b))))
+        results
+    in
+    if pairs <> [] then begin
+      Buffer.add_char buf '\n';
+      List.iter
+        (fun (a, b) ->
+          Buffer.add_string buf
+            (Printf.sprintf "%s: %.2fx %s (%.0f vs %.0f ops/s)\n" (label a.cell)
+               (ops_per_sec a /. Float.max 1e-9 (ops_per_sec b))
+               over (ops_per_sec a) (ops_per_sec b)))
+        pairs
+    end
   in
-  if twins <> [] then begin
-    Buffer.add_char buf '\n';
-    List.iter
-      (fun (f, b) ->
-        Buffer.add_string buf
-          (Printf.sprintf "speedup %s: %.2fx over the all-mutex baseline (%.0f vs %.0f ops/s)\n"
-             (cell_label { f.cell with fast_path = true })
-             (f.ops_per_sec /. Float.max 1e-9 b.ops_per_sec)
-             f.ops_per_sec b.ops_per_sec))
-      twins
-  end;
+  versus
+    ~twin:(fun c -> if c.fast_path && c.topo = None then Some { c with fast_path = false } else None)
+    ~label:(fun c -> "speedup " ^ cell_label c)
+    ~over:"over the all-mutex baseline";
   (* The hinted hand-off's headline: Hinted vs Linear on otherwise
      identical cells (the paper's §5 comparison, sparse mix being the
      regime it targets). *)
-  let hinted_vs_linear =
-    List.filter_map
-      (fun r ->
-        if r.cell.kind <> Cpool_intf.Hinted then None
-        else
-          List.find_opt (fun l -> l.cell = { r.cell with kind = Cpool_intf.Linear }) results
-          |> Option.map (fun l -> (r, l)))
-      results
-  in
-  if hinted_vs_linear <> [] then begin
-    Buffer.add_char buf '\n';
-    List.iter
-      (fun (h, l) ->
-        Buffer.add_string buf
-          (Printf.sprintf "hinted vs linear %dd/%s/%s: %.2fx (%.0f vs %.0f ops/s)\n"
-             h.cell.domains (Workload.mix_label h.cell.workload)
-             (if h.cell.fast_path then "fast" else "mutex")
-             (h.ops_per_sec /. Float.max 1e-9 l.ops_per_sec)
-             h.ops_per_sec l.ops_per_sec))
-      hinted_vs_linear
-  end;
+  versus
+    ~twin:(fun c ->
+      if c.kind = Cpool_intf.Hinted then Some { c with kind = Cpool_intf.Linear } else None)
+    ~label:cell_label ~over:"over its linear twin";
   (* Locality telemetry and the topology headline: aware vs the
      distance-oblivious twin on the same emulated machine. *)
   let topo_results = List.filter (fun r -> r.cell.topo <> None) results in
   if topo_results <> [] then begin
     Buffer.add_char buf '\n';
     let trow r =
+      let m = r.run.merged in
       [
         cell_label r.cell;
-        string_of_int r.near_probes;
-        string_of_int r.far_probes;
-        string_of_int r.near_steals;
-        string_of_int r.far_steals;
-        Cpool_metrics.Render.float_cell r.mean_near_batch;
-        Cpool_metrics.Render.float_cell r.mean_far_batch;
+        string_of_int (Mc_stats.near_probes m);
+        string_of_int (Mc_stats.far_probes m);
+        string_of_int (Mc_stats.near_steals m);
+        string_of_int (Mc_stats.far_steals m);
+        Cpool_metrics.Render.float_cell
+          (Cpool_metrics.Sample.mean (Mc_stats.near_steal_batch_sizes m));
+        Cpool_metrics.Render.float_cell
+          (Cpool_metrics.Sample.mean (Mc_stats.far_steal_batch_sizes m));
       ]
     in
     Buffer.add_string buf
@@ -388,72 +342,77 @@ let render results =
              "elems/near"; "elems/far";
            ]
          ~rows:(List.map trow topo_results) ());
-    let topo_twins =
-      List.filter_map
-        (fun r ->
-          if not r.cell.aware then None
-          else
-            List.find_opt (fun b -> b.cell = { r.cell with aware = false })
-              topo_results
-            |> Option.map (fun b -> (r, b)))
-        topo_results
-    in
-    if topo_twins <> [] then begin
-      Buffer.add_char buf '\n';
-      List.iter
-        (fun (a, b) ->
-          Buffer.add_string buf
-            (Printf.sprintf
-               "topology-aware %s: %.2fx over the distance-oblivious twin (%.0f vs %.0f ops/s)\n"
-               (cell_label a.cell)
-               (a.ops_per_sec /. Float.max 1e-9 b.ops_per_sec)
-               a.ops_per_sec b.ops_per_sec))
-        topo_twins
-    end
+    versus
+      ~twin:(fun c -> if c.topo <> None && c.aware then Some { c with aware = false } else None)
+      ~label:(fun c -> "topology-aware " ^ cell_label c)
+      ~over:"over the distance-oblivious twin"
   end;
+  List.iter
+    (fun r -> if r.run.traces <> [] then (Buffer.add_char buf '\n'; Buffer.add_string buf (render_traced r)))
+    results;
+  Buffer.add_char buf '\n';
+  (match List.filter (fun r -> r.run.violations <> []) results with
+  | [] ->
+    Buffer.add_string buf
+      (Printf.sprintf
+         "invariants: conservation, segment consistency, capacity bound, slot \
+          lifecycle, telemetry all OK on %d cell(s)\n"
+         (List.length results))
+  | bad ->
+    List.iter
+      (fun r ->
+        Buffer.add_string buf
+          (Printf.sprintf "INVARIANT VIOLATIONS in %s:\n" (cell_label r.cell));
+        List.iter (fun v -> Buffer.add_string buf ("  " ^ v ^ "\n")) r.run.violations)
+      bad);
   Buffer.contents buf
 
 let json_of_result r =
+  let module J = Cpool_util.Json in
+  let o = r.run and m = r.run.Mc_run.merged in
+  let paths = paths r in
   let topo_fields =
     match r.cell.topo with
     | None -> []
     | Some topo ->
       [
-        ("topology", Cpool_util.Json.Str (Cpool_topology.label topo));
-        ("topology_aware", Cpool_util.Json.Bool r.cell.aware);
-        ("near_steals", Cpool_util.Json.Int r.near_steals);
-        ("far_steals", Cpool_util.Json.Int r.far_steals);
-        ("near_probes", Cpool_util.Json.Int r.near_probes);
-        ("far_probes", Cpool_util.Json.Int r.far_probes);
-        ("mean_near_batch", Cpool_util.Json.Float r.mean_near_batch);
-        ("mean_far_batch", Cpool_util.Json.Float r.mean_far_batch);
+        ("topology", J.Str (Cpool_topology.label topo));
+        ("topology_aware", J.Bool r.cell.aware);
+        ("near_steals", J.Int (Mc_stats.near_steals m));
+        ("far_steals", J.Int (Mc_stats.far_steals m));
+        ("near_probes", J.Int (Mc_stats.near_probes m));
+        ("far_probes", J.Int (Mc_stats.far_probes m));
+        ( "mean_near_batch",
+          J.Float (Cpool_metrics.Sample.mean (Mc_stats.near_steal_batch_sizes m)) );
+        ( "mean_far_batch",
+          J.Float (Cpool_metrics.Sample.mean (Mc_stats.far_steal_batch_sizes m)) );
       ]
   in
-  Cpool_util.Json.Assoc
+  J.Assoc
     ([
-      ("kind", Cpool_util.Json.Str (Mc_stress.kind_name r.cell.kind));
-      ("domains", Cpool_util.Json.Int r.cell.domains);
-      ("mix", Cpool_util.Json.Str (Workload.mix_label r.cell.workload));
-      ("workload", Cpool_util.Json.Str (Workload.to_string r.cell.workload));
-      ("fast_path", Cpool_util.Json.Bool r.cell.fast_path);
-      ("duration_s", Cpool_util.Json.Float r.duration);
-      ("ops", Cpool_util.Json.Int r.ops);
-      ("ops_attempted", Cpool_util.Json.Int r.ops_attempted);
-      ("ops_per_sec", Cpool_util.Json.Float r.ops_per_sec);
-      ("adds_ok", Cpool_util.Json.Int r.adds_ok);
-      ("removes_ok", Cpool_util.Json.Int r.removes_ok);
-      ("p50_us", Cpool_util.Json.Float r.p50_us);
-      ("p99_us", Cpool_util.Json.Float r.p99_us);
-      ("fast_ops", Cpool_util.Json.Int r.fast_ops);
-      ("locked_ops", Cpool_util.Json.Int r.locked_ops);
-      ("fast_fraction", Cpool_util.Json.Float r.fast_fraction);
-      ("steals", Cpool_util.Json.Int r.steals);
-      ("batched_steals", Cpool_util.Json.Int r.batched_steals);
-      ("mean_batch", Cpool_util.Json.Float r.mean_batch);
-      ("hints_published", Cpool_util.Json.Int r.hints_published);
-      ("hints_claimed", Cpool_util.Json.Int r.hints_claimed);
-      ("hints_delivered", Cpool_util.Json.Int r.hints_delivered);
-      ("hints_expired", Cpool_util.Json.Int r.hints_expired);
+      ("kind", J.Str (Cpool_intf.to_string r.cell.kind));
+      ("domains", J.Int r.cell.domains);
+      ("mix", J.Str (Workload.mix_label r.cell.workload));
+      ("workload", J.Str (Workload.to_string r.cell.workload));
+      ("fast_path", J.Bool r.cell.fast_path);
+      ("duration_s", J.Float o.phase_s);
+      ("ops", J.Int o.ops);
+      ("ops_attempted", J.Int o.ops_attempted);
+      ("ops_per_sec", J.Float (ops_per_sec r));
+      ("adds_ok", J.Int o.adds);
+      ("removes_ok", J.Int o.removes);
+      ("p50_us", J.Float r.p50_us);
+      ("p99_us", J.Float r.p99_us);
+      ("fast_ops", J.Int (Mc_stats.fast_path_ops paths));
+      ("locked_ops", J.Int (Mc_stats.locked_path_ops paths));
+      ("fast_fraction", J.Float (Mc_stats.fast_path_fraction paths));
+      ("steals", J.Int o.steals);
+      ("batched_steals", J.Int (batched_steals r));
+      ("mean_batch", J.Float (mean_batch r));
+      ("hints_published", J.Int (Mc_stats.hints_published m));
+      ("hints_claimed", J.Int (Mc_stats.hints_claimed m));
+      ("hints_delivered", J.Int (Mc_stats.hints_delivered m));
+      ("hints_expired", J.Int (Mc_stats.hints_expired m));
     ]
     @ topo_fields)
 
@@ -477,105 +436,64 @@ let to_json config results =
 let validate_json doc =
   let module J = Cpool_util.Json in
   let ( let* ) = Result.bind in
-  let field obj name =
-    match J.member name obj with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "missing field %S" name)
-  in
-  let number obj name =
-    let* v = field obj name in
-    match J.to_number v with
-    | Some _ -> Ok ()
-    | None -> Error (Printf.sprintf "field %S is not a number" name)
-  in
-  let* bench = field doc "benchmark" in
+  let* bench = J.field "benchmark" doc in
   let* () =
-    match bench with
-    | J.Str "mc-throughput" -> Ok ()
-    | _ -> Error "field \"benchmark\" is not \"mc-throughput\""
+    if bench = J.Str "mc-throughput" then Ok ()
+    else Error "field \"benchmark\" is not \"mc-throughput\""
   in
-  let* cells = field doc "cells" in
-  match J.to_list cells with
-  | None -> Error "field \"cells\" is not a list"
-  | Some cs ->
-    let rec check i = function
-      | [] -> Ok (List.length cs)
-      | c :: rest ->
-        let* () =
-          List.fold_left
-            (fun acc name ->
-              let* () = acc in
-              Result.map_error
-                (fun e -> Printf.sprintf "cell %d: %s" i e)
-                (number c name))
-            (Ok ())
-            [
-              "domains"; "ops"; "ops_attempted"; "ops_per_sec"; "fast_ops";
-              "locked_ops"; "steals"; "hints_published"; "hints_claimed";
-              "hints_delivered"; "hints_expired";
-            ]
-        in
-        (* Counter-accounting identities: the path counters count a subset
-           of the attempted operations, so an artifact where they exceed
-           the attempts is self-contradictory (the seed shipped one such
-           cell: fast_ops > ops). *)
-        let get name =
-          match J.member name c with Some v -> J.to_number v | None -> None
-        in
-        let* () =
-          match (get "fast_ops", get "locked_ops", get "ops", get "ops_attempted") with
-          | Some f, Some l, Some o, Some a ->
-            if f +. l > a then
-              Error
-                (Printf.sprintf
-                   "cell %d: fast_ops %.0f + locked_ops %.0f > ops_attempted %.0f" i f
-                   l a)
-            else if o > a then
-              Error (Printf.sprintf "cell %d: ops %.0f > ops_attempted %.0f" i o a)
-            else Ok ()
-          | _ -> Error (Printf.sprintf "cell %d: path counters are not numbers" i)
-        in
-        let* () =
-          match J.member "fast_path" c with
-          | Some (J.Bool _) -> Ok ()
-          | Some _ | None ->
-            Error (Printf.sprintf "cell %d: missing boolean \"fast_path\"" i)
-        in
-        (* Topology cells must carry the locality split, and it must tile
-           the steal count exactly: every steal is near or far, nothing
-           else. *)
-        let* () =
-          match J.member "topology" c with
-          | None -> Ok ()
-          | Some _ -> (
-            let* () =
-              match J.member "topology_aware" c with
-              | Some (J.Bool _) -> Ok ()
-              | Some _ | None ->
-                Error
-                  (Printf.sprintf "cell %d: missing boolean \"topology_aware\"" i)
-            in
-            let* () =
-              List.fold_left
-                (fun acc name ->
-                  let* () = acc in
-                  Result.map_error
-                    (fun e -> Printf.sprintf "cell %d: %s" i e)
-                    (number c name))
-                (Ok ())
-                [ "near_steals"; "far_steals"; "near_probes"; "far_probes" ]
-            in
-            match (get "near_steals", get "far_steals", get "steals") with
-            | Some near, Some far, Some steals ->
-              if near +. far <> steals then
-                Error
-                  (Printf.sprintf
-                     "cell %d: near_steals %.0f + far_steals %.0f <> steals %.0f"
-                     i near far steals)
-              else Ok ()
-            | _ ->
-              Error (Printf.sprintf "cell %d: locality counters are not numbers" i))
-        in
-        check (i + 1) rest
+  let* cells = J.field "cells" doc in
+  let* cs = Option.to_result ~none:"field \"cells\" is not a list" (J.to_list cells) in
+  let check_cell i c =
+    let where e = Printf.sprintf "cell %d: %s" i e in
+    let num name = Result.map_error where (J.number name c) in
+    let all_numbers names =
+      List.fold_left (fun acc name -> Result.bind acc (fun () -> Result.map ignore (num name)))
+        (Ok ()) names
     in
-    check 0 cs
+    let boolean name =
+      match J.member name c with
+      | Some (J.Bool _) -> Ok ()
+      | Some _ | None -> Error (where (Printf.sprintf "missing boolean %S" name))
+    in
+    let* () =
+      all_numbers
+        [ "domains"; "ops_per_sec"; "hints_published"; "hints_claimed"; "hints_delivered"; "hints_expired" ]
+    in
+    let* o = num "ops" in
+    let* a = num "ops_attempted" in
+    let* f = num "fast_ops" in
+    let* l = num "locked_ops" in
+    let* steals = num "steals" in
+    (* Counter-accounting identities: the path counters count a subset of
+       the attempted operations, so an artifact where they exceed the
+       attempts is self-contradictory (the seed shipped one such cell:
+       fast_ops > ops). *)
+    let* () =
+      if f +. l > a then
+        Error (where (Printf.sprintf "fast_ops %.0f + locked_ops %.0f > ops_attempted %.0f" f l a))
+      else if o > a then Error (where (Printf.sprintf "ops %.0f > ops_attempted %.0f" o a))
+      else Ok ()
+    in
+    let* () = boolean "fast_path" in
+    (* Topology cells must carry the locality split, and it must tile the
+       steal count exactly: every steal is near or far, nothing else. *)
+    if J.member "topology" c = None then Ok ()
+    else
+      let* () = boolean "topology_aware" in
+      let* () = all_numbers [ "near_probes"; "far_probes" ] in
+      let* near = num "near_steals" in
+      let* far = num "far_steals" in
+      if near +. far <> steals then
+        Error
+          (where
+             (Printf.sprintf "near_steals %.0f + far_steals %.0f <> steals %.0f" near far
+                steals))
+      else Ok ()
+  in
+  let rec check i = function
+    | [] -> Ok (List.length cs)
+    | c :: rest ->
+      let* () = check_cell i c in
+      check (i + 1) rest
+  in
+  check 0 cs

@@ -1,9 +1,12 @@
-(** Fixed-duration throughput benchmark for {!Mc_pool}: the reproducible
-    baseline behind the lock-free owner fast path.
+(** Fixed-duration closed-loop driver for {!Mc_pool}: the throughput
+    grid behind the lock-free owner fast path, and — every cell being
+    invariant-checked — the pool's soak test.
 
     Runs a grid of cells — search kind × domain count × operation mix ×
     segment protocol — each a wall-clock-bounded randomized add/remove
-    workload with one worker domain per segment. The two mixes follow the
+    workload with one worker domain per segment, on the shared
+    {!Mc_run} scaffold (prefill, register-and-barrier, drain to
+    quiescence, post-run checks). The two mixes follow the
     paper's regimes: {e sufficient} (> 50% adds, prefilled, removes almost
     always hit the owner's own segment — non-blocking removes) and
     {e sparse} (< 50% adds, the pool runs dry and steal traffic dominates —
@@ -15,11 +18,13 @@
     ([fast_path:false]), so the speedup is measured within one binary on
     identical workloads.
 
-    Reported per cell: throughput (ops/sec), sampled per-op latency (p50
+    Reported per cell: throughput over the mixed phase (ops/sec; the
+    drain is not counted), sampled per-op latency (p50
     and p99, in µs — every 8th batch of 16 operations is timed as a group,
     so sub-µs operations still resolve and a slow steal or lock inside the
     window surfaces in the tail), the segments' fast-path vs locked-path
-    hit counters, and the batched-steal profile. Results serialize to JSON
+    hit counters, the batched-steal profile and the {!Mc_run} invariant
+    verdicts. Results serialize to JSON
     ({!to_json}) for the committed [BENCH_mcpool.json] artifact. *)
 
 type config = {
@@ -33,6 +38,9 @@ type config = {
           {!Cpool_intf.Workload.sparse} are the paper's two regimes. *)
   baseline : bool;  (** Also run every cell with [fast_path:false]. *)
   capacity : int option;  (** Per-segment bound; [None] = unbounded. *)
+  churn : bool;
+      (** Odd-numbered workers retire their handle and register a fresh
+          one every ~4096 ops — the slot-lifecycle soak. *)
   seed : int;
   trace : bool;
       (** Give every worker an {!Mc_trace} event ring (adds a per-event
@@ -48,8 +56,8 @@ type config = {
 
 val default : config
 (** Linear kind, 2 and 8 domains, both canonical workloads (sufficient
-    and sparse, 1 s cells), baseline on, unbounded, seed 42, tracing off,
-    no topology. *)
+    and sparse, 1 s cells), baseline on, unbounded, churn off, seed 42,
+    tracing off, no topology. *)
 
 type cell = {
   kind : Mc_pool.kind;
@@ -66,43 +74,22 @@ type cell = {
 
 type result = {
   cell : cell;
-  duration : float;  (** Measured wall-clock of the mixed-op phase. *)
-  ops : int;  (** Operation attempts across all workers (throughput numerator). *)
-  ops_attempted : int;
-      (** [ops] plus the prefill's add attempts — the full population of
-          operations that can note a fast or locked path, so
-          [fast_ops + locked_ops <= ops_attempted] always holds (the seed
-          artifact compared [fast_ops] against [ops] alone and shipped a
-          cell with [fast_ops > ops]). *)
-  ops_per_sec : float;
-  adds_ok : int;
-  removes_ok : int;
   p50_us : float;  (** Median sampled per-op latency, µs; [nan] if none. *)
   p99_us : float;  (** 99th-percentile sampled per-op latency, µs. *)
-  fast_ops : int;  (** Owner pushes + pops that skipped the mutex. *)
-  locked_ops : int;  (** Owner pushes + pops that took the mutex. *)
-  fast_fraction : float;  (** fast / (fast + locked); [nan] if neither. *)
-  steals : int;
-  batched_steals : int;  (** Steals that moved >= 2 elements in one claim. *)
-  mean_batch : float;  (** Mean elements per steal batch; [nan] if no steals. *)
-  hints_published : int;  (** Hints published by parking searchers ([Hinted]). *)
-  hints_claimed : int;  (** Hints CAS-claimed by adders. *)
-  hints_delivered : int;  (** Claims whose element landed in the parked searcher's segment. *)
-  hints_expired : int;  (** Hints retracted unclaimed (backoff or quiescence). *)
-  near_steals : int;  (** Steals from the thief's own locality group. *)
-  far_steals : int;  (** Steals across groups; [near + far = steals] with a topology. *)
-  near_probes : int;
-  far_probes : int;
-  mean_near_batch : float;  (** Mean elements per near steal; [nan] if none. *)
-  mean_far_batch : float;  (** Mean elements per far steal; [nan] if none. *)
-  traces : Mc_trace.t list;  (** Per-handle event rings; empty unless traced. *)
+  run : Mc_run.outcome;
+      (** Tallies, telemetry, traces and invariant verdicts of the run.
+          [run.ops_attempted] counts the prefill and the drain too — every
+          operation that can note a fast or locked path, so
+          [fast_ops + locked_ops <= ops_attempted] always holds. *)
 }
 
-val run_cell :
-  ?seconds:float -> ?capacity:int option -> ?seed:int -> ?trace:bool -> cell -> result
-(** Run one cell. [seconds] overrides the workload's [duration_s];
-    [capacity = None], [seed = 42], [trace = false]. Raises
-    [Invalid_argument] on non-positive [domains] or [seconds], or a
+val ops_per_sec : result -> float
+(** Mixed-phase operation attempts per second of the mixed phase. *)
+
+val run_cell : config -> cell -> result
+(** Run one cell with [config]'s capacity, churn, seed and tracing; the
+    cell's workload gives the mixed-phase length. Raises
+    [Invalid_argument] on non-positive [domains] or duration, or a
     workload that is not closed-loop. *)
 
 val run : config -> result list
@@ -115,11 +102,13 @@ val render : result list -> string
     baseline, and for each Hinted cell whose Linear twin is present, the
     hinted-over-linear speedup. Topology cells additionally get a near/far
     telemetry table and, twin permitting, the aware-over-oblivious
-    speedup. *)
+    speedup. Traced cells get the full report: per-domain and per-segment
+    telemetry, steal distributions, event totals and the segment-size
+    strip chart. Ends with the invariant verdicts of every cell. *)
 
 val to_json : config -> result list -> Cpool_util.Json.t
 (** The JSON document written to [BENCH_mcpool.json]: benchmark metadata
-    (grid, duration, capacity, seed) and one object per cell. *)
+    (workloads, capacity, seed) and one object per cell. *)
 
 val to_chrome : result list -> Cpool_util.Json.t
 (** Chrome trace-event JSON of a traced run: one Chrome process per cell

@@ -2,12 +2,6 @@
    pool, re-exported so [Mc_pool.Linear] etc. keep compiling. *)
 type kind = Cpool_intf.kind = Linear | Random | Tree | Hinted
 
-let kind_to_string = Cpool_intf.to_string
-
-let kind_of_string = Cpool_intf.of_string
-
-let all_kinds = Cpool_intf.all
-
 type tree = {
   leaves : int;
   rounds : int Atomic.t array; (* heap layout, as in the simulated pool *)
@@ -221,22 +215,6 @@ let of_config (c : Config.t) =
     trace_on = trace;
     trace_capacity;
   }
-
-let create ?(kind = Linear) ?(seed = 42L) ?capacity ?(fast_path = true)
-    ?(trace = false) ?(trace_capacity = 8192) ?topology
-    ?(topology_aware = true) ~segments () =
-  of_config
-    {
-      Config.segments;
-      kind;
-      seed;
-      capacity;
-      fast_path;
-      trace;
-      trace_capacity;
-      topology;
-      topology_aware;
-    }
 
 let segments t = Array.length t.segs
 

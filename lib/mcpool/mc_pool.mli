@@ -22,15 +22,6 @@ type kind = Cpool_intf.kind = Linear | Random | Tree | Hinted
     elements straight into a parked searcher's segment before touching
     their own (paper §5). *)
 
-val kind_to_string : kind -> string
-(** Deprecated alias for {!Cpool_intf.to_string}. *)
-
-val kind_of_string : string -> (kind, string) result
-(** Alias for {!Cpool_intf.of_string}. *)
-
-val all_kinds : kind list
-(** Alias for {!Cpool_intf.all}. *)
-
 type 'a t
 
 type handle
@@ -95,27 +86,6 @@ val of_config : Config.t -> 'a t
     [Invalid_argument] if [c.segments <= 0], [c.capacity <= Some 0],
     [c.trace_capacity <= 0], or the topology's node count differs from
     [c.segments]. *)
-
-val create :
-  ?kind:kind ->
-  ?seed:int64 ->
-  ?capacity:int ->
-  ?fast_path:bool ->
-  ?trace:bool ->
-  ?trace_capacity:int ->
-  ?topology:Cpool_topology.t ->
-  ?topology_aware:bool ->
-  segments:int ->
-  unit ->
-  'a t
-[@@alert
-  deprecated
-    "Use Mc_pool.of_config { Config.default with segments = ... } instead; \
-     the keyword create is a thin wrapper kept for transition."]
-(** [create ~segments ()] is
-    [of_config { Config.default with segments; ... }] — the historical
-    keyword interface, kept as a deprecated wrapper. Defaults and
-    validation are exactly {!Config.default} and {!of_config}'s. *)
 
 val segments : 'a t -> int
 

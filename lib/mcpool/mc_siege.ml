@@ -106,6 +106,7 @@ type point = {
   p99_us : float;
   p999_us : float;
   broken : bool;
+  violations : string list; (* Mc_run's invariant checks; not serialised *)
 }
 
 type outcome = {
@@ -155,78 +156,6 @@ let validate cfg =
   | Some _ -> ()
   | None -> invalid_arg "Mc_siege.run: the siege harness is open-loop only"
 
-type tally = {
-  mutable s_generated : int;
-  mutable s_rejected : int;
-  mutable s_lagged : int;
-  mutable s_completed : int;
-}
-
-let lag_slack_ns = 5_000_000
-
-(* One domain per segment. Producers run the absolute schedule
-   [next := next + gap]: a slow enqueue does not thin the offered load, it
-   shows up as lateness (and [lagged] once > 5 ms behind) — the open-loop
-   property closed loops lack. Elements are enqueue timestamps, so the
-   consumer side prices each element's whole sojourn. Consumers use the
-   blocking remove and exit on quiescence: producers deregister at the
-   deadline, consumers drain what is left and then a full sweep of
-   searching workers confirms emptiness. *)
-let worker pool cfg ~arrival ~per_rate role hist tally i barrier deadline_ns =
-  let rng = Cpool_util.Rng.create (Int64.of_int ((cfg.seed * 4099) + i + 1)) in
-  let h = Mc_pool.register_at pool i in
-  Atomic.decr barrier;
-  while Atomic.get barrier > 0 do
-    Domain.cpu_relax ()
-  done;
-  let record ts =
-    Cpool_metrics.Histogram.add hist
-      (float_of_int (Cpool_util.Clock.now_ns () - ts) /. 1e3);
-    tally.s_completed <- tally.s_completed + 1
-  in
-  (match role with
-  | Consumer ->
-    let rec drain () =
-      match Mc_pool.remove pool h with
-      | Some ts ->
-        record ts;
-        drain ()
-      | None -> ()
-    in
-    drain ()
-  | Producer | Both ->
-    let arr = Arrival.create arrival ~rate:per_rate ~rng in
-    let next = ref (Cpool_util.Clock.now_ns ()) in
-    let running = ref true in
-    while !running do
-      next := !next + Arrival.next_gap_ns arr;
-      if !next >= deadline_ns then running := false
-      else begin
-        let rec wait () =
-          if Cpool_util.Clock.now_ns () < !next then begin
-            (match role with
-            | Both -> (
-              (* A uniform worker consumes between its own arrivals. *)
-              match Mc_pool.try_remove pool h with
-              | Some ts -> record ts
-              | None -> ())
-            | Producer | Consumer -> ());
-            if !next - Cpool_util.Clock.now_ns () > 2_000_000 then
-              Unix.sleepf 0.0005
-            else Domain.cpu_relax ();
-            wait ()
-          end
-        in
-        wait ();
-        let now = Cpool_util.Clock.now_ns () in
-        if now - !next > lag_slack_ns then tally.s_lagged <- tally.s_lagged + 1;
-        tally.s_generated <- tally.s_generated + 1;
-        if not (Mc_pool.try_add pool h now) then
-          tally.s_rejected <- tally.s_rejected + 1
-      end
-    done);
-  Mc_pool.deregister pool h
-
 (* Breaking-point predicate: a point is broken when latency blew through
    the bound, the backlog outgrew any plausible drain, adds started
    bouncing off the capacity, the generator itself could not sustain the
@@ -238,76 +167,88 @@ let is_broken cfg p =
   || p.lagged > p.generated / 10
   || ((not (Float.is_nan p.p99_us)) && p.p99_us > cfg.p99_bound_us)
 
+let lag_slack_ns = 5_000_000
+
+(* One domain per segment, on the shared Mc_run scaffold. Producers run the
+   absolute schedule [next := next + gap] from the instant the window
+   opens: a slow enqueue does not thin the offered load, it shows up as
+   lateness (and [lagged] once > 5 ms behind) — the open-loop property
+   closed loops lack. Elements are enqueue timestamps, so the consuming
+   side prices each element's whole sojourn. A consumer's phase is empty:
+   the scaffold's drain — blocking removes until every worker searches an
+   empty pool — is its whole job, and producers join that drain at the
+   deadline, so even a uniform arrangement ends with the pool empty. *)
 let run_point cfg offered =
   let segments = cfg.pool.Mc_pool.Config.segments in
-  let pool : int Mc_pool.t = Mc_pool.of_config cfg.pool in
   let role = roles ~segments cfg.workload.arrangement in
   let producers =
     Array.fold_left (fun n r -> if r = Consumer then n else n + 1) 0 role
   in
   let per_rate = offered /. float_of_int producers in
   let arrival = Workload.(with_rate cfg.workload offered).arrival in
-  (* Prefill (siege cells default to 0): stamped at fill time, so leftover
-     stock drains first and its sojourn counts from the start of load. *)
-  if cfg.workload.initial > 0 then begin
-    let now = Cpool_util.Clock.now_ns () in
-    for s = 0 to segments - 1 do
-      let h = Mc_pool.register_at pool s in
-      for _ = 1 to cfg.workload.initial do
-        ignore (Mc_pool.try_add pool h now)
-      done;
-      Mc_pool.deregister pool h
-    done
-  end;
+  let duration_ns = Cpool_util.Clock.ns_of_s cfg.workload.duration_s in
   let hists = Array.init segments (fun _ -> sojourn_histogram ()) in
-  let tallies =
-    Array.init segments (fun _ ->
-        { s_generated = 0; s_rejected = 0; s_lagged = 0; s_completed = 0 })
+  let lagged = Array.make segments 0 in
+  let record (w : Mc_run.worker) ts =
+    Cpool_metrics.Histogram.add hists.(w.index)
+      (float_of_int (Cpool_util.Clock.now_ns () - ts) /. 1e3)
   in
-  let barrier = Atomic.make segments in
-  let t0 = Cpool_util.Clock.now_ns () in
-  let deadline_ns = t0 + Cpool_util.Clock.ns_of_s cfg.workload.duration_s in
-  let ds =
-    List.init segments (fun i ->
-        Domain.spawn (fun () ->
-            worker pool cfg ~arrival ~per_rate role.(i) hists.(i) tallies.(i) i
-              barrier deadline_ns))
+  let phase pool (w : Mc_run.worker) ~deadline_ns =
+    match role.(w.index) with
+    | Consumer -> ()
+    | Producer | Both ->
+      let rng = Cpool_util.Rng.create (Int64.of_int ((cfg.seed * 4099) + w.index + 1)) in
+      let arr = Arrival.create arrival ~rate:per_rate ~rng in
+      let next = ref (deadline_ns - duration_ns) in
+      let running = ref true in
+      while !running do
+        next := !next + Arrival.next_gap_ns arr;
+        if !next >= deadline_ns then running := false
+        else begin
+          let rec wait () =
+            if Cpool_util.Clock.now_ns () < !next then begin
+              (* A uniform worker consumes between its own arrivals. *)
+              if role.(w.index) = Both then
+                Option.iter (record w) (Mc_run.remove pool w ~blocking:false);
+              if !next - Cpool_util.Clock.now_ns () > 2_000_000 then
+                Unix.sleepf 0.0005
+              else Domain.cpu_relax ();
+              wait ()
+            end
+          in
+          wait ();
+          let now = Cpool_util.Clock.now_ns () in
+          if now - !next > lag_slack_ns then lagged.(w.index) <- lagged.(w.index) + 1;
+          ignore (Mc_run.add pool w now : bool)
+        end
+      done
   in
-  (* Snapshot the backlog at the deadline instant — the consumers drain
-     whatever is left afterwards, so only this racy-but-timely read can
-     tell a queue that kept up from one that only emptied post-hoc. *)
-  let rec sleep () =
-    let now = Cpool_util.Clock.now_ns () in
-    if now < deadline_ns then begin
-      if deadline_ns - now > 2_000_000 then Unix.sleepf 0.001
-      else Domain.cpu_relax ();
-      sleep ()
-    end
+  (* Prefill (siege cells default to 0) is stamped at fill time, so leftover
+     stock drains first and its sojourn counts from the start of load. *)
+  let o =
+    Mc_run.run cfg.pool ~initial:cfg.workload.initial
+      ~fill:(fun _ -> Cpool_util.Clock.now_ns ())
+      ~duration_s:cfg.workload.duration_s ~phase ~consume:record
   in
-  sleep ();
-  let backlog = Mc_pool.size pool in
-  List.iter Domain.join ds;
-  let duration = Cpool_util.Clock.elapsed_s ~since_ns:t0 in
   let hist = sojourn_histogram () in
   Array.iter (Cpool_metrics.Histogram.merge hist) hists;
-  let sum f = Array.fold_left (fun acc t -> acc + f t) 0 tallies in
   let pct p = Cpool_metrics.Histogram.percentile hist p in
   let point =
     {
       offered;
-      duration;
-      generated = sum (fun t -> t.s_generated);
-      completed = sum (fun t -> t.s_completed);
-      rejected = sum (fun t -> t.s_rejected);
-      backlog;
-      lagged = sum (fun t -> t.s_lagged);
-      throughput =
-        float_of_int (sum (fun t -> t.s_completed)) /. Float.max 1e-9 duration;
+      duration = o.elapsed_s;
+      generated = o.adds + o.rejects;
+      completed = o.removes;
+      rejected = o.rejects;
+      backlog = o.backlog;
+      lagged = Array.fold_left ( + ) 0 lagged;
+      throughput = float_of_int o.removes /. Float.max 1e-9 o.elapsed_s;
       p50_us = pct 50.0;
       p90_us = pct 90.0;
       p99_us = pct 99.0;
       p999_us = pct 99.9;
       broken = false;
+      violations = o.violations;
     }
   in
   { point with broken = is_broken cfg point }
@@ -373,6 +314,11 @@ let cell_label o =
     | Some _ ->
       if c.pool.Mc_pool.Config.topology_aware then "/topo" else "/topo-blind")
 
+let violations o =
+  List.concat_map
+    (fun p -> List.map (Printf.sprintf "at %.0f/s: %s" p.offered) p.violations)
+    o.points
+
 let render outcomes =
   let buf = Buffer.create 1024 in
   List.iter
@@ -410,6 +356,9 @@ let render outcomes =
         Buffer.add_string buf
           (Printf.sprintf "saturation: not reached up to %.0f arrivals/s\n"
              o.config.max_rate));
+      List.iter
+        (fun v -> Buffer.add_string buf ("INVARIANT VIOLATION " ^ v ^ "\n"))
+        (violations o);
       Buffer.add_char buf '\n')
     outcomes;
   Buffer.contents buf
@@ -488,39 +437,28 @@ let to_json outcomes =
 
 (* {2 Validation, reconstruction, regression gate} *)
 
-let field obj name =
-  match Cpool_util.Json.member name obj with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing field %S" name)
-
-let number obj name =
-  Result.bind (field obj name) (fun v ->
-      match Cpool_util.Json.to_number v with
-      | Some f -> Ok f
-      | None -> Error (Printf.sprintf "field %S is not a number" name))
-
 let validate_json doc =
   let module J = Cpool_util.Json in
   let ( let* ) = Result.bind in
-  let* bench = field doc "benchmark" in
+  let* bench = J.field "benchmark" doc in
   let* () =
     match bench with
     | J.Str "mc-siege" -> Ok ()
     | _ -> Error "field \"benchmark\" is not \"mc-siege\""
   in
-  let* _ = number doc "max_throughput_drop_pct" in
-  let* _ = number doc "max_p99_inflation_pct" in
-  let* cells = field doc "cells" in
+  let* _ = J.number "max_throughput_drop_pct" doc in
+  let* _ = J.number "max_p99_inflation_pct" doc in
+  let* cells = J.field "cells" doc in
   match J.to_list cells with
   | None -> Error "field \"cells\" is not a list"
   | Some cs ->
     let check_point i j p =
       let where e = Printf.sprintf "cell %d point %d: %s" i j e in
-      let* offered = Result.map_error where (number p "offered_per_sec") in
-      let* completed = Result.map_error where (number p "completed") in
-      let* _ = Result.map_error where (number p "generated") in
-      let* _ = Result.map_error where (number p "throughput") in
-      let* _ = Result.map_error where (number p "backlog") in
+      let* offered = Result.map_error where (J.number "offered_per_sec" p) in
+      let* completed = Result.map_error where (J.number "completed" p) in
+      let* _ = Result.map_error where (J.number "generated" p) in
+      let* _ = Result.map_error where (J.number "throughput" p) in
+      let* _ = Result.map_error where (J.number "backlog" p) in
       let* () =
         match J.member "broken" p with
         | Some (J.Bool _) -> Ok ()
@@ -531,8 +469,8 @@ let validate_json doc =
       let* () =
         if completed <= 0.0 then Ok ()
         else
-          let* p50 = Result.map_error where (number p "p50_us") in
-          let* p99 = Result.map_error where (number p "p99_us") in
+          let* p50 = Result.map_error where (J.number "p50_us" p) in
+          let* p99 = Result.map_error where (J.number "p99_us" p) in
           if p50 > p99 then
             Error (where (Printf.sprintf "p50 %.3f > p99 %.3f" p50 p99))
           else Ok ()
@@ -541,7 +479,7 @@ let validate_json doc =
     in
     let check_cell i c =
       let where e = Printf.sprintf "cell %d: %s" i e in
-      let* kind = Result.map_error where (field c "kind") in
+      let* kind = Result.map_error where (J.field "kind" c) in
       let* () =
         match kind with
         | J.Str s ->
@@ -549,7 +487,7 @@ let validate_json doc =
             (Result.map (fun (_ : Cpool_intf.kind) -> ()) (Cpool_intf.of_string s))
         | _ -> Error (where "field \"kind\" is not a string")
       in
-      let* wl = Result.map_error where (field c "workload") in
+      let* wl = Result.map_error where (J.field "workload" c) in
       let* () =
         match wl with
         | J.Str s ->
@@ -559,8 +497,8 @@ let validate_json doc =
           else Ok ()
         | _ -> Error (where "field \"workload\" is not a string")
       in
-      let* _ = Result.map_error where (number c "domains") in
-      let* max_rate = Result.map_error where (number c "max_rate") in
+      let* _ = Result.map_error where (J.number "domains" c) in
+      let* max_rate = Result.map_error where (J.number "max_rate" c) in
       let* () =
         match J.member "topology_config" c with
         | None -> Ok ()
@@ -570,7 +508,7 @@ let validate_json doc =
             (Result.map (fun (_ : Cpool_topology.t) -> ()) (Cpool_topology.parse s))
         | Some _ -> Error (where "field \"topology_config\" is not a string")
       in
-      let* points = Result.map_error where (field c "points") in
+      let* points = Result.map_error where (J.field "points" c) in
       let* ps =
         match J.to_list points with
         | Some (_ :: _ as ps) -> Ok ps
@@ -643,11 +581,11 @@ let config_of_cell_json c =
     | Some (J.Str s) -> Workload.of_string s
     | _ -> Error "missing string \"workload\""
   in
-  let* domains = number c "domains" in
-  let* seed = number c "seed" in
-  let* p99_bound_us = number c "p99_bound_us" in
-  let* max_rate = number c "max_rate" in
-  let* bisect_steps = number c "bisect_steps" in
+  let* domains = J.number "domains" c in
+  let* seed = J.number "seed" c in
+  let* p99_bound_us = J.number "p99_bound_us" c in
+  let* max_rate = J.number "max_rate" c in
+  let* bisect_steps = J.number "bisect_steps" c in
   let capacity =
     match J.member "capacity" c with
     | Some v -> Option.map int_of_float (J.to_number v)
@@ -702,8 +640,8 @@ let diff ~baseline ~fresh =
   let ( let* ) = Result.bind in
   let* _ = validate_json baseline in
   let* _ = validate_json fresh in
-  let* drop_pct = number baseline "max_throughput_drop_pct" in
-  let* infl_pct = number baseline "max_p99_inflation_pct" in
+  let* drop_pct = J.number "max_throughput_drop_pct" baseline in
+  let* infl_pct = J.number "max_p99_inflation_pct" baseline in
   let cells doc = Option.get (J.to_list (Option.get (J.member "cells" doc))) in
   let fresh_cells = List.map (fun c -> (cell_key c, c)) (cells fresh) in
   let point_stats c =

@@ -1,6 +1,6 @@
 (** Open-loop load harness and breaking-point finder for {!Mc_pool}.
 
-    Where mc-stress and mc-throughput are closed loops — workers issue the
+    Where mc-throughput is a closed loop — workers issue the
     next operation as soon as the previous one returns, so the pool can
     never fall behind by construction — the siege drives the pool with an
     {e arrival process}: producer domains draw inter-arrival gaps from a
@@ -10,7 +10,10 @@
     offered load. Elements are enqueue timestamps; the consuming side
     prices each element's full sojourn (add to remove, in µs) into a
     per-domain log-scaled {!Cpool_metrics.Histogram}, merged after the
-    join — p50/p90/p99/p99.9 without ever storing samples.
+    join — p50/p90/p99/p99.9 without ever storing samples. Each point
+    runs on the shared {!Mc_run} scaffold, so its window opens when every
+    worker has registered, every worker drains the pool at the deadline,
+    and the point carries {!Mc_run}'s invariant verdicts.
 
     On top of single points sits the saturation search: ramp the offered
     load geometrically from the workload's rate until a point {e breaks}
@@ -74,6 +77,10 @@ type point = {
   p99_us : float;
   p999_us : float;
   broken : bool;  (** The breaking-point predicate's verdict. *)
+  violations : string list;
+      (** {!Mc_run}'s invariant checks; empty iff all held. Conservation
+          here reads [initial + generated - rejected = completed]. Not
+          serialised. *)
 }
 
 type outcome = {
@@ -110,7 +117,11 @@ val cell_label : outcome -> string
 
 val render : outcome list -> string
 (** Human-readable latency-under-load tables plus one saturation verdict
-    line per cell. *)
+    line per cell, and every invariant violation a point reported. *)
+
+val violations : outcome -> string list
+(** Every point's invariant violations, each prefixed with its offered
+    load. *)
 
 val default_max_throughput_drop_pct : float
 (** siege-diff threshold written into fresh artifacts (75%). *)

@@ -247,8 +247,8 @@ let process_name ~pid label =
       ("args", J.Assoc [ ("name", J.Str label) ]);
     ]
 
-let chrome_doc groups =
-  let merged = List.map (fun (pid, label, tracers) -> (pid, label, merge tracers)) groups in
+let to_chrome groups =
+  let merged = List.mapi (fun i (label, tracers) -> (i + 1, label, merge tracers)) groups in
   let t0 =
     List.fold_left
       (fun acc (_, _, events) ->
@@ -258,9 +258,8 @@ let chrome_doc groups =
   let events =
     List.concat_map
       (fun (pid, label, events) ->
-        let meta = match label with None -> [] | Some l -> [ process_name ~pid l ] in
-        meta
-        @ List.concat_map
+        process_name ~pid label
+        :: List.concat_map
             (fun e ->
               let instant = chrome_instant ~pid ~t0 e in
               match observed_size e with
@@ -270,14 +269,6 @@ let chrome_doc groups =
       merged
   in
   J.Assoc [ ("traceEvents", J.List events); ("displayTimeUnit", J.Str "ns") ]
-
-let to_chrome_groups groups =
-  chrome_doc (List.map (fun (pid, tracers) -> (pid, None, tracers)) groups)
-
-let to_chrome_labeled groups =
-  chrome_doc (List.mapi (fun i (label, tracers) -> (i + 1, Some label, tracers)) groups)
-
-let to_chrome ?(pid = 1) tracers = to_chrome_groups [ (pid, tracers) ]
 
 let validate_chrome doc =
   let ( let* ) = Result.bind in

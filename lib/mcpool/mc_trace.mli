@@ -129,24 +129,17 @@ val total_dropped : t list -> int
 
 (** {2 Exporters} *)
 
-val to_chrome : ?pid:int -> t list -> Cpool_util.Json.t
-(** Chrome trace-event JSON (the [{"traceEvents": [...]}] envelope):
-    every merged event becomes an instant event ([ph = "i"]) on track
-    [tid = domain] of process [pid] (default [1]), with [ts] in
-    microseconds rebased to the earliest event; size-carrying tags
-    ([Add]/[Remove]/[Spill]/[Steal_probe]) additionally emit a counter
-    event ([ph = "C"], name ["seg<i> size"]) so Perfetto draws the
-    segment-size-over-time curves directly. Load via [ui.perfetto.dev]. *)
-
-val to_chrome_groups : (int * t list) list -> Cpool_util.Json.t
-(** Like {!to_chrome} for several pools in one file: each [(pid, tracers)]
-    group becomes one Chrome process (the throughput benchmark maps one
-    grid cell per pid). *)
-
-val to_chrome_labeled : (string * t list) list -> Cpool_util.Json.t
-(** {!to_chrome_groups} with pids assigned [1..n] in order and a
-    [process_name] metadata event per group, so Perfetto shows each
-    group's label (e.g. a benchmark cell name). *)
+val to_chrome : (string * t list) list -> Cpool_util.Json.t
+(** Chrome trace-event JSON (the [{"traceEvents": [...]}] envelope) of
+    several labelled groups of tracers — one group per pool, e.g. one
+    benchmark cell each. Group [i] becomes Chrome process [pid = i + 1]
+    with a [process_name] metadata event carrying its label; its merged
+    events become instant events ([ph = "i"]) on track [tid = domain],
+    with [ts] in microseconds rebased to the earliest event of the whole
+    file. Size-carrying tags ([Add]/[Remove]/[Spill]/[Steal_probe])
+    additionally emit a counter event ([ph = "C"], name ["seg<i> size"])
+    so Perfetto draws the segment-size-over-time curves directly. Load
+    via [ui.perfetto.dev]. *)
 
 val validate_chrome : Cpool_util.Json.t -> (int, string) Stdlib.result
 (** Structural check of a parsed Chrome trace document (the [json-check]

@@ -266,3 +266,14 @@ let to_number = function
   | Int i -> Some (float_of_int i)
   | Float f -> Some f
   | _ -> None
+
+let field key v =
+  match member key v with
+  | Some x -> Ok x
+  | None -> Error (Printf.sprintf "missing field %S" key)
+
+let number key v =
+  Result.bind (field key v) (fun x ->
+      match to_number x with
+      | Some f -> Ok f
+      | None -> Error (Printf.sprintf "field %S is not a number" key))

@@ -31,3 +31,13 @@ val to_list : t -> t list option
 
 val to_number : t -> float option
 (** [to_number v] is the numeric value of an [Int] or [Float]. *)
+
+(** {2 Validator helpers} *)
+
+val field : string -> t -> (t, string) result
+(** [field key v] is {!member} as a result: [Error "missing field \"key\""]
+    when absent — the message every artifact validator reports. *)
+
+val number : string -> t -> (float, string) result
+(** [number key v] is field [key] through {!to_number}, with an error
+    naming the field when it is missing or not numeric. *)

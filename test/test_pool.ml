@@ -193,7 +193,7 @@ let prop_conservation_all_kinds =
 let per_kind name f =
   List.map
     (fun kind ->
-      Alcotest.test_case (Printf.sprintf "%s (%s)" name (Pool.kind_to_string kind)) `Quick (f kind))
+      Alcotest.test_case (Printf.sprintf "%s (%s)" name (Cpool_intf.to_string kind)) `Quick (f kind))
     Pool.all_kinds
 
 let suites =

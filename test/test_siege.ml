@@ -248,6 +248,58 @@ let test_siege_smoke () =
       Alcotest.check workload "workload survives" tiny_config.Mc_siege.workload
         cfg.Mc_siege.workload)
 
+(* The window opens at barrier release, not before the spawns: a lone
+   producer's arrival count is a Poisson draw over exactly [duration], so
+   it lands within 4 sigma of rate x duration. A clock started before
+   [Domain.spawn] loses the spawn time — at 500k arrivals/s every lost
+   millisecond is 500 arrivals, against a 4-sigma band of ~250. *)
+let test_siege_window_starts_at_release () =
+  let rate = 500_000.0 and duration_s = 0.008 in
+  let cfg =
+    {
+      tiny_config with
+      workload =
+        {
+          tiny_config.workload with
+          arrival = Workload.Poisson rate;
+          duration_s;
+          arrangement = Workload.Balanced 1;
+        };
+      max_rate = rate;
+    }
+  in
+  let p = Mc_siege.run_point cfg rate in
+  let expected = rate *. duration_s in
+  let band = 4.0 *. sqrt expected in
+  if abs_float (float_of_int p.generated -. expected) > band then
+    Alcotest.failf "generated %d arrivals, expected %.0f +- %.0f" p.generated expected band;
+  Alcotest.(check (list string)) "no invariant violations" [] p.violations
+
+(* Every worker of a uniform arrangement produces and consumes; at the
+   deadline all of them drain, so the pool ends empty and every element
+   generated (plus the prefill) completes. *)
+let test_siege_uniform_drains () =
+  let initial = 5 in
+  let cfg =
+    {
+      tiny_config with
+      workload =
+        {
+          tiny_config.workload with
+          initial;
+          arrival = Workload.Poisson 4000.0;
+          arrangement = Workload.Uniform;
+        };
+      max_rate = 4000.0;
+    }
+  in
+  let p = Mc_siege.run_point cfg 4000.0 in
+  Alcotest.(check (list string)) "drained and consistent" [] p.violations;
+  Alcotest.(check bool) "generated arrivals" true (p.generated > 0);
+  Alcotest.(check int) "initial + generated - rejected = completed"
+    ((initial * 2) + p.generated - p.rejected)
+    p.completed
+
 let test_siege_rejects_closed_loop () =
   match
     Mc_siege.run { tiny_config with workload = Workload.sufficient }
@@ -271,6 +323,7 @@ let test_broken_predicate () =
       p99_us = 100.0;
       p999_us = 200.0;
       broken = false;
+      violations = [];
     }
   in
   let cfg = tiny_config in
@@ -349,5 +402,9 @@ let suites =
         Alcotest.test_case "siege-diff: self is clean" `Quick test_diff_self_is_clean;
         Alcotest.test_case "siege-diff: missing cell flagged" `Quick
           test_diff_flags_collapse;
+        Alcotest.test_case "siege window opens at barrier release" `Quick
+          test_siege_window_starts_at_release;
+        Alcotest.test_case "siege uniform point drains and conserves" `Quick
+          test_siege_uniform_drains;
       ] );
   ]

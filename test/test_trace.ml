@@ -1,6 +1,6 @@
 (* Tests for Mc_trace: the per-handle lock-free event tracer, its
    ring-overflow semantics, the Chrome exporter, the simulator-compatible
-   size series, and the event/telemetry reconciliation in Mc_stress. *)
+   size series, and the event/telemetry reconciliation of Mc_run's checks. *)
 
 open Cpool_mc
 
@@ -115,7 +115,7 @@ let test_chrome_round_trip () =
   Mc_trace.record t Mc_trace.Add ~a1:2 ~a2:1;
   Mc_trace.record t Mc_trace.Steal_probe ~a1:0 ~a2:4;
   Mc_trace.record t Mc_trace.Park ~a1:2 ~a2:64;
-  let doc = Mc_trace.to_chrome ~pid:7 [ t ] in
+  let doc = Mc_trace.to_chrome [ ("cell", [ t ]) ] in
   (* The writer and parser must agree: serialize, re-parse, validate. *)
   match Cpool_util.Json.parse (Cpool_util.Json.to_string doc) with
   | Error msg -> Alcotest.failf "re-parse failed: %s" msg
@@ -123,8 +123,9 @@ let test_chrome_round_trip () =
     (match Mc_trace.validate_chrome reparsed with
     | Error msg -> Alcotest.failf "validation failed: %s" msg
     | Ok n ->
-      (* 3 instants + counter events for the two size-carrying tags. *)
-      Alcotest.(check int) "event count" 5 n);
+      (* 3 instants + counter events for the two size-carrying tags + the
+         group's process_name metadata. *)
+      Alcotest.(check int) "event count" 6 n);
     let events =
       match Cpool_util.Json.member "traceEvents" reparsed with
       | Some (Cpool_util.Json.List l) -> l
@@ -147,8 +148,8 @@ let test_chrome_round_trip () =
         in
         Alcotest.(check bool) "known phase" true (List.mem (str "ph") [ "i"; "C"; "M" ]);
         Alcotest.(check bool) "ts rebased" true (num "ts" >= 0.0);
-        Alcotest.(check (float 0.0)) "pid" 7.0 (num "pid");
-        Alcotest.(check (float 0.0)) "tid" 2.0 (num "tid");
+        Alcotest.(check (float 0.0)) "pid" 1.0 (num "pid");
+        if str "ph" <> "M" then Alcotest.(check (float 0.0)) "tid" 2.0 (num "tid");
         ignore (str "name"))
       events
 
@@ -158,7 +159,7 @@ let test_chrome_labeled_groups () =
     Mc_trace.record t Mc_trace.Sweep ~a1:d ~a2:0;
     t
   in
-  let doc = Mc_trace.to_chrome_labeled [ ("cell a", [ mk 0 ]); ("cell b", [ mk 1 ]) ] in
+  let doc = Mc_trace.to_chrome [ ("cell a", [ mk 0 ]); ("cell b", [ mk 1 ]) ] in
   match Mc_trace.validate_chrome doc with
   | Error msg -> Alcotest.failf "validation failed: %s" msg
   | Ok n ->
@@ -249,19 +250,20 @@ let test_pool_records_ops kind () =
 (* --- Stress reconciliation: events vs telemetry, per kind ------------- *)
 
 let test_stress_reconciles kind () =
-  let report =
-    Mc_stress.run
+  let r =
+    Mc_bench.run_cell
+      { Mc_bench.default with churn = true; trace = true }
       {
-        Mc_stress.default with
-        Mc_stress.domains = 3;
-        kind;
-        workload =
-          { Cpool_intf.Workload.default with duration_s = 0.15; initial = 11 };
-        trace = true;
+        Mc_bench.kind;
+        domains = 3;
+        workload = { Cpool_intf.Workload.default with duration_s = 0.15; initial = 11 };
+        fast_path = true;
+        topo = None;
+        aware = true;
       }
   in
-  Alcotest.(check (list string)) "no violations" [] report.Mc_stress.violations;
-  Alcotest.(check bool) "traces collected" true (report.Mc_stress.traces <> [])
+  Alcotest.(check (list string)) "no violations" [] r.run.violations;
+  Alcotest.(check bool) "traces collected" true (r.run.traces <> [])
 
 let suites =
   let open Alcotest in
