@@ -176,6 +176,22 @@ let test_json_accessors () =
     (Option.bind (Json.member "f" doc) Json.to_number = Some 2.5);
   Alcotest.(check bool) "to_number of string" true (Json.to_number (Json.Str "3") = None)
 
+(* The validator helpers turn a missing or mistyped field into an error
+   that names it, so an artifact check reports which field is wrong. *)
+let test_json_validator_helpers () =
+  let doc = Json.Assoc [ ("n", Json.Int 3); ("x", Json.Float 0.5); ("s", Json.Str "3") ] in
+  Alcotest.(check bool) "field hit" true (Json.field "s" doc = Ok (Json.Str "3"));
+  Alcotest.(check bool) "field miss" true
+    (Json.field "nope" doc = Error "missing field \"nope\"");
+  Alcotest.(check bool) "field of a non-object" true
+    (Json.field "n" (Json.List [ doc ]) = Error "missing field \"n\"");
+  Alcotest.(check bool) "number of int" true (Json.number "n" doc = Ok 3.0);
+  Alcotest.(check bool) "number of float" true (Json.number "x" doc = Ok 0.5);
+  Alcotest.(check bool) "number of string" true
+    (Json.number "s" doc = Error "field \"s\" is not a number");
+  Alcotest.(check bool) "number of missing" true
+    (Json.number "nope" doc = Error "missing field \"nope\"")
+
 let suites =
   [
     ( "util.json",
@@ -185,6 +201,7 @@ let suites =
         Alcotest.test_case "number parsing" `Quick test_json_parse_numbers;
         Alcotest.test_case "rejects malformed" `Quick test_json_parse_rejects;
         Alcotest.test_case "accessors" `Quick test_json_accessors;
+        Alcotest.test_case "validator helpers" `Quick test_json_validator_helpers;
       ] );
     ( "util.vec",
       [
