@@ -332,9 +332,8 @@ let mc_throughput_cmd =
     let doc =
       "Trace every worker and write Chrome trace-event JSON to $(docv) (one Chrome \
        process per cell; load at ui.perfetto.dev). Also prints each cell's \
-       per-domain and per-segment telemetry, steal distributions, event totals \
-       and segment-size strip chart, and reconciles the event totals with the \
-       telemetry. Tracing adds a per-event timestamp cost — leave it off for \
+       per-domain and per-segment telemetry, steal distributions, non-zero \
+       event counters and segment-size strip chart. Tracing adds a per-event timestamp cost — leave it off for \
        committed throughput numbers."
     in
     Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Repo verification: build, tier-1 tests, lint, and short multicore smokes
 # whose every cell is invariant-checked (conservation, capacity bound, slot
-# lifecycle, telemetry and trace agreement).
+# lifecycle, telemetry identities).
 # Uses only packages a standard dev switch already has; exits non-zero on
 # any failure. CI runs exactly this script.
 set -eu
@@ -71,7 +71,7 @@ dune exec bin/pools_bench.exe -- mc-throughput --domains 4 --seconds 0.2 \
   --kind linear --workload sparse --topology topo/two_group.topo \
   --out BENCH_mctopo_smoke.json
 
-echo "== mc-throughput --trace smoke (traced hinted cell, event/telemetry reconciliation) =="
+echo "== mc-throughput --trace smoke (traced hinted cell, invariants and Chrome export) =="
 dune exec bin/pools_bench.exe -- mc-throughput --domains 3 --seconds 0.3 \
   --kind hinted --workload mix=0.4,initial=11 \
   --trace TRACE_mcpool_smoke.json --out BENCH_mctrace_smoke.json
@@ -108,6 +108,18 @@ echo "== parking discipline (idle searchers and awaiters never sleep-poll) =="
 # the timer-slack latency floor.
 if grep -n "Unix\.sleepf" lib/mcpool/mc_pool.ml lib/tasks/mc_task.ml; then
   echo "check.sh: Unix.sleepf in the pool hunt or the task await (park on Mc_park)" >&2
+  exit 1
+fi
+
+echo "== event discipline (each pool event is recorded once, through Mc_stats) =="
+# Mc_stats owns the optional trace ring: every handle-level note bumps its
+# counter and appends its event in one call. A direct ring write elsewhere
+# is a second event path. The one exception is the Mpsc_drain event, whose
+# counter is bumped inside the model-checked segment core.
+if grep -rn "Mc_trace\.record" --include="*.ml" --include="*.mli" lib \
+  | grep -v "^lib/mcpool/mc_stats\.ml:" | grep -v "^lib/mcpool/mc_trace\.ml:" \
+  | grep -v "^lib/mcpool/mc_pool\.ml:[0-9]*: *Mc_trace\.record ring Mc_trace\.Mpsc_drain "; then
+  echo "check.sh: Mc_trace.record outside Mc_stats (record events through an Mc_stats note)" >&2
   exit 1
 fi
 

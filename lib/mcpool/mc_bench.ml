@@ -180,8 +180,8 @@ let to_chrome results =
 let strip_buckets = 72
 
 (* The per-cell report of a traced run: throughput, the per-domain and
-   per-segment telemetry, the steal distributions, the drop-proof event
-   totals and the segment-size strip chart. *)
+   per-segment telemetry, the steal distributions, the non-zero event
+   counters and the segment-size strip chart. *)
 let render_traced r =
   let o = r.run in
   let buf = Buffer.create 1024 in
@@ -233,13 +233,12 @@ let render_traced r =
          ())
   end;
   add
-    (Cpool_metrics.Render.table ~title:"event counts (drop-proof totals)"
-       ~headers:[ "event"; "count" ]
+    (Cpool_metrics.Render.table ~title:"event counts (pool-wide counters)"
+       ~headers:[ "counter"; "count" ]
        ~rows:
          (List.filter_map
-            (fun (tag, n) ->
-              if n = 0 then None else Some [ Mc_trace.tag_name tag; string_of_int n ])
-            (Mc_trace.counts o.traces))
+            (fun (name, n) -> if n = 0 then None else Some [ name; string_of_int n ])
+            (Cpool_metrics.Counters.to_rows (Mc_stats.counters o.merged)))
        ());
   let segments = r.cell.domains in
   add

@@ -32,7 +32,6 @@ type 'a t = {
   registration : Mutex.t;
   claimed : bool array;
   mutable handle_stats : Mc_stats.t list; (* every handle ever claimed; under [registration] *)
-  mutable handle_traces : Mc_trace.t list; (* ditto, when tracing is on *)
   searching : int Atomic.t;
   registered : int Atomic.t;
   idle : Mc_park.t; (* where idle searchers park; every visible element notifies *)
@@ -48,8 +47,7 @@ type 'a t = {
 type handle = {
   pool_slot : int;
   rng : Cpool_util.Rng.t;
-  stats : Mc_stats.t;
-  tracer : Mc_trace.t; (* [Mc_trace.disabled] unless the pool traces *)
+  stats : Mc_stats.t; (* its ring is [Mc_trace.disabled] unless the pool traces *)
   mutable hunt_probes : int; (* segments examined since the current hunt began *)
   mutable active : bool;
   mutable last_found : int;
@@ -203,7 +201,6 @@ let of_config (c : Config.t) =
     registration = Mutex.create ();
     claimed = Array.make segments false;
     handle_stats = [];
-    handle_traces = [];
     searching = Atomic.make 0;
     registered = Atomic.make 0;
     idle = Mc_park.create ();
@@ -249,10 +246,12 @@ let mk_handle t slot =
   {
     pool_slot = slot;
     rng = Cpool_util.Rng.create (Int64.add t.seed (Int64.of_int slot));
-    stats = Mc_stats.create ();
-    tracer =
-      (if t.trace_on then Mc_trace.create ~capacity:t.trace_capacity ~domain:slot ()
-       else Mc_trace.disabled);
+    stats =
+      Mc_stats.create
+        ~ring:
+          (if t.trace_on then Mc_trace.create ~capacity:t.trace_capacity ~domain:slot ()
+           else Mc_trace.disabled)
+        ();
     hunt_probes = 0;
     active = true;
     last_found = slot;
@@ -308,7 +307,6 @@ let claim t pick =
         t.claimed.(slot) <- true;
         let h = mk_handle t slot in
         t.handle_stats <- h.stats :: t.handle_stats;
-        if t.trace_on then t.handle_traces <- h.tracer :: t.handle_traces;
         h)
   in
   Atomic.incr t.registered;
@@ -371,8 +369,7 @@ let try_deliver t h x =
     && (match Mc_hints.try_claim ?order board ~from:h.pool_slot with
        | None -> false
        | Some w ->
-         Mc_stats.note_hint_claimed h.stats;
-         Mc_trace.record h.tracer Mc_trace.Hint_claim ~a1:w ~a2:0;
+         Mc_stats.note_hint_claimed h.stats ~a1:w;
          (match t.topo with
          | Some ti -> spin_ns ti.delay_ns.(h.pool_slot).(w)
          | None -> ());
@@ -381,14 +378,8 @@ let try_deliver t h x =
          (* The claimed searcher may be parked until this release. *)
          Mc_park.notify t.idle;
          if delivered then begin
-           Mc_stats.note_hint_delivered h.stats;
-           Mc_stats.note_spill h.stats;
-           if Mc_trace.enabled h.tracer then begin
-             Mc_trace.record h.tracer Mc_trace.Hint_deliver ~a1:w ~a2:0;
-             Mc_trace.record h.tracer Mc_trace.Mpsc_push ~a1:w ~a2:0;
-             Mc_trace.record h.tracer Mc_trace.Spill ~a1:w
-               ~a2:(Mc_segment.size t.segs.(w))
-           end
+           Mc_stats.note_hint_delivered h.stats ~a1:w;
+           Mc_stats.note_spill h.stats ~a1:w ~size:Mc_segment.size t.segs.(w)
          end;
          delivered)
 
@@ -396,17 +387,11 @@ let place t h x =
   match t.bound with
   | None ->
     Mc_segment.add t.segs.(h.pool_slot) x;
-    Mc_stats.note_add h.stats;
-    if Mc_trace.enabled h.tracer then
-      Mc_trace.record h.tracer Mc_trace.Add ~a1:h.pool_slot
-        ~a2:(Mc_segment.size t.segs.(h.pool_slot));
+    Mc_stats.note_add h.stats ~a1:h.pool_slot ~size:Mc_segment.size t.segs.(h.pool_slot);
     true
   | Some _ ->
     if Mc_segment.try_add t.segs.(h.pool_slot) x then begin
-      Mc_stats.note_add h.stats;
-      if Mc_trace.enabled h.tracer then
-        Mc_trace.record h.tracer Mc_trace.Add ~a1:h.pool_slot
-          ~a2:(Mc_segment.size t.segs.(h.pool_slot));
+      Mc_stats.note_add h.stats ~a1:h.pool_slot ~size:Mc_segment.size t.segs.(h.pool_slot);
       true
     end
     else begin
@@ -430,12 +415,7 @@ let place t h x =
             (match t.topo with
             | Some ti -> spin_ns ti.delay_ns.(h.pool_slot).(pos)
             | None -> ());
-            Mc_stats.note_spill h.stats;
-            if Mc_trace.enabled h.tracer then begin
-              Mc_trace.record h.tracer Mc_trace.Mpsc_push ~a1:pos ~a2:0;
-              Mc_trace.record h.tracer Mc_trace.Spill ~a1:pos
-                ~a2:(Mc_segment.size t.segs.(pos))
-            end;
+            Mc_stats.note_spill h.stats ~a1:pos ~size:Mc_segment.size t.segs.(pos);
             true
           end
           else spill (i + 1)
@@ -457,23 +437,23 @@ let add t h x = if not (try_add t h x) then failwith "Mc_pool.add: pool is full"
 
 let try_remove_local t h =
   let seg = t.segs.(h.pool_slot) in
-  let traced = Mc_trace.enabled h.tracer in
-  (* The drain counters are owner-written plain fields and this handle IS
-     the owner, so the before/after delta is exact, not racy: it detects
-     whether this pop folded the spill inbox into the ring. *)
+  let ring = Mc_stats.ring h.stats in
+  let traced = Mc_trace.enabled ring in
+  (* The one event recorded straight into the ring: its counter is bumped
+     inside the segment, on the segment's stats. The drain counters are
+     owner-written plain fields and this handle IS the owner, so the
+     before/after delta is exact, not racy: it detects whether this pop
+     folded the spill inbox into the ring. *)
   let sstats = Mc_segment.stats seg in
   let drains0 = if traced then Mc_stats.inbox_drains sstats else 0 in
   let drained0 = if traced then Mc_stats.inbox_drained sstats else 0 in
   let r = Mc_segment.try_remove seg in
   if traced && Mc_stats.inbox_drains sstats > drains0 then
-    Mc_trace.record h.tracer Mc_trace.Mpsc_drain ~a1:h.pool_slot
+    Mc_trace.record ring Mc_trace.Mpsc_drain ~a1:h.pool_slot
       ~a2:(Mc_stats.inbox_drained sstats - drained0);
   match r with
   | Some x ->
-    Mc_stats.note_local_remove h.stats;
-    if traced then
-      Mc_trace.record h.tracer Mc_trace.Remove ~a1:h.pool_slot
-        ~a2:(Mc_segment.size seg);
+    Mc_stats.note_local_remove h.stats ~a1:h.pool_slot ~size:Mc_segment.size seg;
     Some x
   | None -> None
 
@@ -481,7 +461,6 @@ let record_steal t h pos ~elements =
   Atomic.incr t.steal_count;
   h.last_found <- pos;
   h.last_leaf <- leaf_pos t pos;
-  Mc_stats.note_steal h.stats ~probes:h.hunt_probes ~elements;
   (* The transfer-size sample lives on the thief's handle (single writer);
      the victim segment cannot record it without a serialization point. *)
   Mc_stats.note_steal_batch h.stats elements;
@@ -493,7 +472,7 @@ let record_steal t h pos ~elements =
     (* Moving [elements] elements out of a remote segment is [elements]
        remote accesses on the synthetic machine. *)
     spin_ns (ti.delay_ns.(h.pool_slot).(pos) * elements));
-  Mc_trace.record h.tracer Mc_trace.Steal_claim ~a1:pos ~a2:elements;
+  Mc_stats.note_steal h.stats ~a1:pos ~probes:h.hunt_probes ~elements;
   h.hunt_probes <- 0
 
 (* Examine segment [pos]; on success bank the steal's remainder into our own
@@ -505,20 +484,17 @@ let record_steal t h pos ~elements =
 let attempt_steal t h pos =
   let victim = t.segs.(pos) in
   h.hunt_probes <- h.hunt_probes + 1;
-  Mc_stats.note_probe h.stats;
   (match t.topo with
   | None -> ()
   | Some ti ->
     (* Probing a remote segment pays the emulated latency before the size
        read lands, aware or not — the topology is the machine, the probe
        order is the policy. *)
-    let far = ti.far.(h.pool_slot).(pos) in
-    Mc_stats.note_probe_locality h.stats ~far;
     let d = ti.delay_ns.(h.pool_slot).(pos) in
-    if far then Mc_trace.record h.tracer Mc_trace.Far_probe ~a1:pos ~a2:d;
+    Mc_stats.note_probe_locality h.stats ~far:ti.far.(h.pool_slot).(pos) ~a1:pos ~a2:d;
     spin_ns d);
   let vsize = Mc_segment.size victim in
-  Mc_trace.record h.tracer Mc_trace.Steal_probe ~a1:pos ~a2:vsize;
+  Mc_stats.note_probe h.stats ~a1:pos ~a2:vsize;
   if vsize = 0 then None
   else
     match t.bound with
@@ -532,9 +508,7 @@ let attempt_steal t h pos =
         (match Mc_segment.deposit t.segs.(h.pool_slot) rest with
         | [] -> ()
         | _ :: _ -> assert false (* unbounded deposit never rejects *));
-        let banked = List.length rest in
-        Mc_trace.record h.tracer Mc_trace.Steal_transfer ~a1:h.pool_slot ~a2:banked;
-        record_steal t h pos ~elements:(1 + banked);
+        record_steal t h pos ~elements:(1 + List.length rest);
         (* The banked remainder is stealable work for another idler. *)
         Mc_park.notify t.idle;
         Some x)
@@ -552,17 +526,14 @@ let attempt_steal t h pos =
         Some x
       | Cpool.Steal.Batch (x, rest) ->
         Mc_segment.refill own ~reserved rest;
-        let banked = List.length rest in
-        Mc_trace.record h.tracer Mc_trace.Steal_transfer ~a1:h.pool_slot ~a2:banked;
-        record_steal t h pos ~elements:(1 + banked);
+        record_steal t h pos ~elements:(1 + List.length rest);
         Mc_park.notify t.idle;
         Some x)
 
 (* One full deterministic pass over every segment; the confirmation step
    before reporting the pool empty. *)
 let sweep t h =
-  Mc_stats.note_sweep h.stats;
-  Mc_trace.record h.tracer Mc_trace.Sweep ~a1:h.pool_slot ~a2:0;
+  Mc_stats.note_sweep h.stats ~a1:h.pool_slot;
   let p = Array.length t.segs in
   let seg_at =
     (* Aware sweeps also go near-first: both orders start at the sweeper's
@@ -770,15 +741,8 @@ let idle_ready t () =
    [Park] and [Wake] bracket each actual block, so they balance whenever
    no searcher is asleep. *)
 let park t h ~ready =
-  let me = h.pool_slot in
-  let on_block () =
-    Mc_stats.note_park h.stats;
-    Mc_trace.record h.tracer Mc_trace.Park ~a1:me ~a2:0
-  in
-  if Mc_park.park ~on_block t.idle ~ready then begin
-    Mc_stats.note_wake h.stats;
-    Mc_trace.record h.tracer Mc_trace.Wake ~a1:me ~a2:0
-  end
+  let on_block () = Mc_stats.note_park h.stats ~a1:h.pool_slot in
+  if Mc_park.park ~on_block t.idle ~ready then Mc_stats.note_wake h.stats ~a1:h.pool_slot
 
 (* Parking a searcher. The Hinted kind's one extra step is to advertise
    the park on the hint board, so an adder delivers straight into this
@@ -791,13 +755,11 @@ let park_searcher t h =
   | Some board -> (
     let me = h.pool_slot in
     Mc_hints.publish board me;
-    Mc_stats.note_hint_published h.stats;
-    Mc_trace.record h.tracer Mc_trace.Hint_publish ~a1:me ~a2:0;
+    Mc_stats.note_hint_published h.stats ~a1:me;
     park t h ~ready:(idle_ready t);
     match Mc_hints.retract board me with
     | Mc_hints.Retracted ->
-      Mc_stats.note_hint_expired h.stats;
-      Mc_trace.record h.tracer Mc_trace.Hint_expire ~a1:me ~a2:0
+      Mc_stats.note_hint_expired h.stats ~a1:me
     | Mc_hints.Claim_pending ->
       let released () = Mc_hints.is_free board me in
       while not (released ()) do
@@ -856,9 +818,11 @@ let stats_of_handle h = h.stats
 
 let tracing t = t.trace_on
 
-let trace_of_handle h = h.tracer
+let trace_of_handle h = Mc_stats.ring h.stats
 
-let traces t = with_registration t (fun () -> t.handle_traces)
+let traces t =
+  if t.trace_on then List.map Mc_stats.ring (with_registration t (fun () -> t.handle_stats))
+  else []
 
 let segment_stats t =
   Array.map (fun s -> Mc_segment.stats s) t.segs

@@ -49,10 +49,10 @@ module Config : sig
         (** Enable the segments' lock-free owner path (default [true]);
             [false] is the all-mutex baseline used for benchmarking. *)
     trace : bool;
-        (** Give every handle a per-domain {!Mc_trace} event ring
-            (default [false]); when off, handles share the no-op
-            {!Mc_trace.disabled} tracer and pay one predictable branch
-            per recording site. *)
+        (** Give every handle's {!Mc_stats} a per-domain {!Mc_trace}
+            event ring (default [false]); when off, handles share the
+            no-op {!Mc_trace.disabled} ring and each event costs one
+            counter bump and one predictable branch. *)
     trace_capacity : int;
         (** Event-ring slots per handle (default [8192], rounded up to a
             power of two). *)
@@ -193,13 +193,14 @@ val tracing : 'a t -> bool
 (** [tracing t] is whether the pool was created with [~trace:true]. *)
 
 val trace_of_handle : handle -> Mc_trace.t
-(** [trace_of_handle h] is the worker's event ring ({!Mc_trace.disabled}
-    on an untraced pool). Single-writer: read it after [h]'s domain
-    quiesces. *)
+(** [trace_of_handle h] is the event ring inside the worker's stats
+    ({!Mc_trace.disabled} on an untraced pool). Single-writer: read it
+    after [h]'s domain quiesces. *)
 
 val traces : 'a t -> Mc_trace.t list
-(** [traces t] is every tracer the pool ever issued (deregistered handles
-    included, mirroring {!stats}); empty on an untraced pool. Merge with
+(** [traces t] is the ring of every handle the pool ever issued
+    (deregistered handles included, mirroring {!stats}); empty on an
+    untraced pool. Merge with
     {!Mc_trace.merge} / export with {!Mc_trace.to_chrome} after the
     workers quiesce. *)
 

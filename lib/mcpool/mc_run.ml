@@ -80,7 +80,7 @@ let verify pool (c : Mc_pool.Config.t) ~initial_added ~adds ~removes ~ops_attemp
     ~capacity_sightings =
   let violations = ref [] in
   let check name ok detail = if not ok then violations := (name ^ ": " ^ detail) :: !violations in
-  let merged = Mc_pool.stats pool and traces = Mc_pool.traces pool in
+  let merged = Mc_pool.stats pool in
   let stat name = Cpool_metrics.Counters.get (Mc_stats.counters merged) name in
   let left = Mc_pool.size pool in
   check "conservation"
@@ -136,40 +136,6 @@ let verify pool (c : Mc_pool.Config.t) ~initial_added ~adds ~removes ~ops_attemp
   check "telemetry: parks = wakes"
     (Mc_stats.parks merged = Mc_stats.wakes merged)
     (Printf.sprintf "parks %d <> wakes %d" (Mc_stats.parks merged) (Mc_stats.wakes merged));
-  if c.trace then begin
-    (* The tracer's drop-proof per-tag totals must agree with [Mc_stats]
-       exactly: both are single-writer counters bumped at the same source
-       lines, so any divergence is a lost event or a miswired hook. *)
-    let ev_counts = Mc_trace.counts traces in
-    let ev_args = Mc_trace.arg_totals traces in
-    let ev tag = List.assoc tag ev_counts in
-    let ev_sum tag = List.assoc tag ev_args in
-    let reconcile label derived counter =
-      check ("trace: " ^ label) (derived = counter)
-        (Printf.sprintf "event-derived %d <> stats %d" derived counter)
-    in
-    reconcile "steals" (ev Mc_trace.Steal_claim) (stat "steals");
-    reconcile "elements stolen" (ev_sum Mc_trace.Steal_claim) (stat "elements stolen");
-    reconcile "probes" (ev Mc_trace.Steal_probe) (stat "segments examined");
-    reconcile "adds" (ev Mc_trace.Add) (stat "adds");
-    reconcile "spills" (ev Mc_trace.Spill) (stat "spill adds");
-    reconcile "local removes" (ev Mc_trace.Remove) (stat "local removes");
-    reconcile "sweeps" (ev Mc_trace.Sweep) (stat "sweeps");
-    reconcile "hints published" (ev Mc_trace.Hint_publish) (Mc_stats.hints_published merged);
-    reconcile "hints claimed" (ev Mc_trace.Hint_claim) (Mc_stats.hints_claimed merged);
-    reconcile "hints delivered" (ev Mc_trace.Hint_deliver) (Mc_stats.hints_delivered merged);
-    reconcile "hints expired" (ev Mc_trace.Hint_expire) (Mc_stats.hints_expired merged);
-    (* MPSC telemetry: every traced lock-free spill push and every owner
-       exchange-drain has a matching segment counter bump. *)
-    reconcile "mpsc pushes" (ev Mc_trace.Mpsc_push) (stat "inbox adds");
-    reconcile "mpsc drains" (ev Mc_trace.Mpsc_drain) (stat "inbox drains");
-    reconcile "mpsc drained elements" (ev_sum Mc_trace.Mpsc_drain) (stat "inbox drained");
-    reconcile "parks" (ev Mc_trace.Park) (Mc_stats.parks merged);
-    reconcile "wakes" (ev Mc_trace.Wake) (Mc_stats.wakes merged);
-    (* Every park resolves, on every kind: a searcher never returns from a
-       hunt while still asleep on the pool's eventcount. *)
-    reconcile "park/wake balance" (ev Mc_trace.Park) (ev Mc_trace.Wake)
-  end;
   if c.kind = Mc_pool.Hinted then begin
     (* Hint-board accounting: at quiescence every published hint was either
        claimed by an adder or retracted (expired) by its searcher, and a
@@ -185,7 +151,7 @@ let verify pool (c : Mc_pool.Config.t) ~initial_added ~adds ~removes ~ops_attemp
       (Printf.sprintf "delivered %d > claimed %d" (Mc_stats.hints_delivered merged)
          (Mc_stats.hints_claimed merged))
   end;
-  (merged, traces, List.rev !violations)
+  (merged, List.rev !violations)
 
 let run (c : Mc_pool.Config.t) ~initial ~fill ~duration_s ~phase ~consume =
   let pool = Mc_pool.of_config c in
@@ -273,7 +239,7 @@ let run (c : Mc_pool.Config.t) ~initial ~fill ~duration_s ~phase ~consume =
   let adds = sum (fun w -> w.adds) and removes = sum (fun w -> w.removes) in
   let ops = sum (fun w -> w.ops) in
   let ops_attempted = prefill_attempts + ops + sum (fun w -> w.drains) in
-  let merged, traces, violations =
+  let merged, violations =
     verify pool c ~initial_added ~adds ~removes ~ops_attempted
       ~capacity_sightings:(Atomic.get capacity_sightings)
   in
@@ -297,6 +263,6 @@ let run (c : Mc_pool.Config.t) ~initial ~fill ~duration_s ~phase ~consume =
         (Array.mapi (fun i s -> (Printf.sprintf "s%d" i, s)) (Mc_pool.segment_stats pool));
     merged;
     steals = Mc_pool.steals pool;
-    traces;
+    traces = Mc_pool.traces pool;
     violations;
   }

@@ -33,11 +33,11 @@
       operations, spills equal inbox adds (and drains never exceed them),
       and parks equal wakes;
     - {b hint identities} ([Hinted]) — published = claimed + expired, and
-      delivered <= claimed;
-    - {b trace agreement} (traced pools) — the {!Mc_trace} event-derived
-      per-tag totals equal the merged {!Mc_stats} counters exactly, and
-      every park resolved with a wake. The totals are drop-proof, so the
-      checks hold even when the rings overflowed.
+      delivered <= claimed.
+
+    A traced pool needs no further check: each event is written once,
+    through its {!Mc_stats} note, which bumps the counter and appends to
+    the ring, so there is no second copy of a total to agree with.
 
     Stress/invariant harnesses of this shape (rather than unit tests
     alone) are how concurrent structures with capacity invariants are

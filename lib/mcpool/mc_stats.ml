@@ -55,9 +55,13 @@ type t = {
   mutable far_steals : int;
   near_batch_sizes : int array; (* elements per steal from a near segment *)
   far_batch_sizes : int array; (* elements per steal from a far segment *)
+  (* The optional sink behind the handle-level notes: each one bumps its
+     counter and appends its event here, so an event is written once.
+     [Mc_trace.disabled] on untraced pools, on segments and on merges. *)
+  ring : Mc_trace.t;
 }
 
-let create () =
+let create ?(ring = Mc_trace.disabled) () =
   (* Padded: each domain's record must not share a cache line with its
      neighbour's, or the hot-path counter stores false-share. *)
   Cpool_util.Pad.copy_as_padded
@@ -98,50 +102,78 @@ let create () =
       far_steals = 0;
       near_batch_sizes = Array.make (bucket_limit + 1) 0;
       far_batch_sizes = Array.make (bucket_limit + 1) 0;
+      ring;
     }
+
+let ring s = s.ring
 
 let bump buckets v =
   let i = if v < 0 then 0 else min v bucket_limit in
   buckets.(i) <- buckets.(i) + 1
 
-let note_add s = s.adds <- s.adds + 1
+(* Size-carrying events take the segment and its size reader, not the
+   size: an untraced note never reads the segment. *)
+let note_add s ~a1 ~size seg =
+  s.adds <- s.adds + 1;
+  if Mc_trace.enabled s.ring then Mc_trace.record s.ring Mc_trace.Add ~a1 ~a2:(size seg)
 
-let note_spill s = s.spills <- s.spills + 1
+let note_spill s ~a1 ~size seg =
+  s.spills <- s.spills + 1;
+  if Mc_trace.enabled s.ring then Mc_trace.record s.ring Mc_trace.Spill ~a1 ~a2:(size seg)
 
 let note_add_fail s = s.add_fails <- s.add_fails + 1
 
-let note_local_remove s = s.local_removes <- s.local_removes + 1
+let note_local_remove s ~a1 ~size seg =
+  s.local_removes <- s.local_removes + 1;
+  if Mc_trace.enabled s.ring then Mc_trace.record s.ring Mc_trace.Remove ~a1 ~a2:(size seg)
 
-let note_probe s = s.segments_examined <- s.segments_examined + 1
+let note_probe s ~a1 ~a2 =
+  s.segments_examined <- s.segments_examined + 1;
+  Mc_trace.record s.ring Mc_trace.Steal_probe ~a1 ~a2
 
-let note_steal s ~probes ~elements =
+let note_steal s ~a1 ~probes ~elements =
   s.steals <- s.steals + 1;
   s.elements_stolen <- s.elements_stolen + elements;
   s.steal_probes <- s.steal_probes + probes;
   bump s.segs_per_steal probes;
-  bump s.elems_per_steal elements
+  bump s.elems_per_steal elements;
+  Mc_trace.record s.ring Mc_trace.Steal_claim ~a1 ~a2:elements
 
-let note_sweep s = s.sweeps <- s.sweeps + 1
+let note_sweep s ~a1 =
+  s.sweeps <- s.sweeps + 1;
+  Mc_trace.record s.ring Mc_trace.Sweep ~a1 ~a2:0
 
 let note_empty_confirm s = s.empty_confirms <- s.empty_confirms + 1
 
 let note_spin s = s.spins <- s.spins + 1
 
-let note_park s = s.parks <- s.parks + 1
+let note_park s ~a1 =
+  s.parks <- s.parks + 1;
+  Mc_trace.record s.ring Mc_trace.Park ~a1 ~a2:0
 
-let note_wake s = s.wakes <- s.wakes + 1
+let note_wake s ~a1 =
+  s.wakes <- s.wakes + 1;
+  Mc_trace.record s.ring Mc_trace.Wake ~a1 ~a2:0
 
 let parks s = s.parks
 
 let wakes s = s.wakes
 
-let note_hint_published s = s.hints_published <- s.hints_published + 1
+let note_hint_published s ~a1 =
+  s.hints_published <- s.hints_published + 1;
+  Mc_trace.record s.ring Mc_trace.Hint_publish ~a1 ~a2:0
 
-let note_hint_claimed s = s.hints_claimed <- s.hints_claimed + 1
+let note_hint_claimed s ~a1 =
+  s.hints_claimed <- s.hints_claimed + 1;
+  Mc_trace.record s.ring Mc_trace.Hint_claim ~a1 ~a2:0
 
-let note_hint_delivered s = s.hints_delivered <- s.hints_delivered + 1
+let note_hint_delivered s ~a1 =
+  s.hints_delivered <- s.hints_delivered + 1;
+  Mc_trace.record s.ring Mc_trace.Hint_deliver ~a1 ~a2:0
 
-let note_hint_expired s = s.hints_expired <- s.hints_expired + 1
+let note_hint_expired s ~a1 =
+  s.hints_expired <- s.hints_expired + 1;
+  Mc_trace.record s.ring Mc_trace.Hint_expire ~a1 ~a2:0
 
 let note_fast_push s = s.fast_pushes <- s.fast_pushes + 1
 
@@ -175,8 +207,11 @@ let note_steal_batch s n =
   if n >= 2 then s.batched_steals <- s.batched_steals + 1;
   bump s.batch_sizes n
 
-let note_probe_locality s ~far =
-  if far then s.far_probes <- s.far_probes + 1
+let note_probe_locality s ~far ~a1 ~a2 =
+  if far then begin
+    s.far_probes <- s.far_probes + 1;
+    Mc_trace.record s.ring Mc_trace.Far_probe ~a1 ~a2
+  end
   else s.near_probes <- s.near_probes + 1
 
 let note_steal_locality s ~far ~elements =

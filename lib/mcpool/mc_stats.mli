@@ -8,6 +8,13 @@
     statistics the paper reports for the simulator: steal frequency,
     segments examined per steal, elements stolen per steal.
 
+    The counters are the one always-on record of each pool event. A
+    traced handle's stats also own an {!Mc_trace} ring: every
+    handle-level [note_*] below takes the event's ring payload
+    ([~a1], and [~a2] or a size reader) and appends the event to the
+    ring in the same call, only when the ring is on. An untraced note is
+    one counter bump and one ring-enabled branch.
+
     Reading another domain's live stats is safe (all fields are word-sized)
     but yields a racy snapshot; merge after the workers have quiesced for
     exact totals. Per-steal distributions are bucketed exactly up to
@@ -20,32 +27,46 @@ val bucket_limit : int
 (** Largest per-steal observation recorded exactly in the distributions
     (larger values clamp into the top bucket). *)
 
-val create : unit -> t
+val create : ?ring:Mc_trace.t -> unit -> t
+(** [create ()] is zeroed stats whose ring is {!Mc_trace.disabled};
+    [~ring] gives a handle's notes an enabled ring to append to. *)
 
-(** {2 Hot-path recording (called by [Mc_pool])} *)
+val ring : t -> Mc_trace.t
+(** The ring the handle-level notes append to ({!Mc_trace.disabled}
+    unless one was passed to {!create}; merges never carry one). *)
 
-val note_add : t -> unit
-(** A successful add into the worker's own segment. *)
+(** {2 Hot-path recording (called by [Mc_pool])}
 
-val note_spill : t -> unit
-(** A successful add that spilled to another segment (bounded pools). *)
+    The [~a1]/[~a2] labels are the {!Mc_trace.tag} payloads of the event
+    each note appends when the ring is on. Size-carrying notes take
+    [~size seg] instead of [~a2]: the segment and its size reader, called
+    only when the ring is on. *)
+
+val note_add : t -> a1:int -> size:('s -> int) -> 's -> unit
+(** A successful add into the worker's own segment [a1] ([Add]). *)
+
+val note_spill : t -> a1:int -> size:('s -> int) -> 's -> unit
+(** A successful add that spilled to segment [a1]'s inbox (bounded pools
+    and hint deliveries; [Spill]). *)
 
 val note_add_fail : t -> unit
 (** An add rejected because every segment was full. *)
 
-val note_local_remove : t -> unit
-(** A successful remove from the worker's own segment. *)
+val note_local_remove : t -> a1:int -> size:('s -> int) -> 's -> unit
+(** A successful remove from the worker's own segment [a1] ([Remove]). *)
 
-val note_probe : t -> unit
-(** One remote segment examined during a steal search. *)
+val note_probe : t -> a1:int -> a2:int -> unit
+(** Segment [a1] examined during a steal search, seen holding [a2]
+    elements ([Steal_probe]). *)
 
-val note_steal : t -> probes:int -> elements:int -> unit
-(** A successful steal that examined [probes] segments since the hunt
-    began and obtained [elements] elements (the returned one plus the
-    banked remainder). *)
+val note_steal : t -> a1:int -> probes:int -> elements:int -> unit
+(** A successful steal from segment [a1] that examined [probes] segments
+    since the hunt began and obtained [elements] elements (the returned
+    one plus the banked remainder; [Steal_claim] with [a2 = elements]). *)
 
-val note_sweep : t -> unit
-(** One full confirmation sweep over every segment. *)
+val note_sweep : t -> a1:int -> unit
+(** One full confirmation sweep over every segment by slot [a1]
+    ([Sweep]). *)
 
 val note_empty_confirm : t -> unit
 (** A blocking remove that concluded the pool empty. *)
@@ -54,13 +75,13 @@ val note_spin : t -> unit
 (** One failed search pass spun through ([Domain.cpu_relax]) before an
     idle searcher parks. *)
 
-val note_park : t -> unit
-(** An idle searcher blocked on the pool's eventcount ({!Mc_park}): its
+val note_park : t -> a1:int -> unit
+(** An idle searcher (slot [a1]; [Park]) blocked on the pool's eventcount ({!Mc_park}): its
     re-check after registering as a sleeper found no work and no
     quiescence. *)
 
-val note_wake : t -> unit
-(** A parked searcher returned from its block. [parks = wakes] whenever no
+val note_wake : t -> a1:int -> unit
+(** A parked searcher (slot [a1]; [Wake]) returned from its block. [parks = wakes] whenever no
     searcher is asleep; while workers run, the difference is how many
     are. *)
 
@@ -73,18 +94,20 @@ val note_wake : t -> unit
     [delivered <= claimed] (a claim against a full bounded segment aborts
     the delivery). *)
 
-val note_hint_published : t -> unit
-(** A searcher that swept every segment empty published a hint and parked. *)
+val note_hint_published : t -> a1:int -> unit
+(** Searcher [a1], having swept every segment empty, published a hint
+    and parked ([Hint_publish]). *)
 
-val note_hint_claimed : t -> unit
-(** An adder CAS-claimed a published hint. *)
+val note_hint_claimed : t -> a1:int -> unit
+(** An adder CAS-claimed parked searcher [a1]'s hint ([Hint_claim]). *)
 
-val note_hint_delivered : t -> unit
-(** A claimed hint's element landed in the parked searcher's segment. *)
+val note_hint_delivered : t -> a1:int -> unit
+(** A claimed hint's element landed in parked searcher [a1]'s segment
+    ([Hint_deliver]). *)
 
-val note_hint_expired : t -> unit
-(** A searcher retracted its own hint unclaimed (backoff round, local work
-    arrived, or quiescence confirmation). *)
+val note_hint_expired : t -> a1:int -> unit
+(** Searcher [a1] retracted its own hint unclaimed (backoff round, local
+    work arrived, or quiescence confirmation; [Hint_expire]). *)
 
 (** {2 Segment-side path counters (called by [Mc_segment])}
 
@@ -131,9 +154,11 @@ val note_steal_batch : t -> int -> unit
     steal. Bumped on the {e thief's own handle} (single writer), not the
     victim segment. *)
 
-val note_probe_locality : t -> far:bool -> unit
-(** One steal probe classified by the pool topology: [far] iff the probed
-    segment is outside the prober's locality group. Thief's own handle. *)
+val note_probe_locality : t -> far:bool -> a1:int -> a2:int -> unit
+(** One steal probe of segment [a1] classified by the pool topology:
+    [far] iff the probed segment is outside the prober's locality group,
+    [a2] the emulated latency charged for it in ns ([Far_probe], far
+    probes only). Thief's own handle. *)
 
 val note_steal_locality : t -> far:bool -> elements:int -> unit
 (** One successful steal transfer of [elements] elements classified by the

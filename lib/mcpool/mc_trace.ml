@@ -4,7 +4,6 @@ type tag =
   | Spill
   | Steal_probe
   | Steal_claim
-  | Steal_transfer
   | Sweep
   | Hint_publish
   | Hint_claim
@@ -12,15 +11,13 @@ type tag =
   | Hint_expire
   | Park
   | Wake
-  | Mpsc_push
   | Mpsc_drain
   | Far_probe
 
 let all_tags =
   [
-    Add; Remove; Spill; Steal_probe; Steal_claim; Steal_transfer; Sweep;
-    Hint_publish; Hint_claim; Hint_deliver; Hint_expire; Park; Wake;
-    Mpsc_push; Mpsc_drain; Far_probe;
+    Add; Remove; Spill; Steal_probe; Steal_claim; Sweep; Hint_publish;
+    Hint_claim; Hint_deliver; Hint_expire; Park; Wake; Mpsc_drain; Far_probe;
   ]
 
 let tag_index = function
@@ -29,17 +26,15 @@ let tag_index = function
   | Spill -> 2
   | Steal_probe -> 3
   | Steal_claim -> 4
-  | Steal_transfer -> 5
-  | Sweep -> 6
-  | Hint_publish -> 7
-  | Hint_claim -> 8
-  | Hint_deliver -> 9
-  | Hint_expire -> 10
-  | Park -> 11
-  | Wake -> 12
-  | Mpsc_push -> 13
-  | Mpsc_drain -> 14
-  | Far_probe -> 15
+  | Sweep -> 5
+  | Hint_publish -> 6
+  | Hint_claim -> 7
+  | Hint_deliver -> 8
+  | Hint_expire -> 9
+  | Park -> 10
+  | Wake -> 11
+  | Mpsc_drain -> 12
+  | Far_probe -> 13
 
 let tag_of_index = function
   | 0 -> Add
@@ -47,20 +42,16 @@ let tag_of_index = function
   | 2 -> Spill
   | 3 -> Steal_probe
   | 4 -> Steal_claim
-  | 5 -> Steal_transfer
-  | 6 -> Sweep
-  | 7 -> Hint_publish
-  | 8 -> Hint_claim
-  | 9 -> Hint_deliver
-  | 10 -> Hint_expire
-  | 11 -> Park
-  | 12 -> Wake
-  | 13 -> Mpsc_push
-  | 14 -> Mpsc_drain
-  | 15 -> Far_probe
+  | 5 -> Sweep
+  | 6 -> Hint_publish
+  | 7 -> Hint_claim
+  | 8 -> Hint_deliver
+  | 9 -> Hint_expire
+  | 10 -> Park
+  | 11 -> Wake
+  | 12 -> Mpsc_drain
+  | 13 -> Far_probe
   | _ -> invalid_arg "Mc_trace.tag_of_index"
-
-let tag_count = List.length all_tags
 
 let tag_name = function
   | Add -> "add"
@@ -68,7 +59,6 @@ let tag_name = function
   | Spill -> "spill"
   | Steal_probe -> "steal-probe"
   | Steal_claim -> "steal-claim"
-  | Steal_transfer -> "steal-transfer"
   | Sweep -> "sweep"
   | Hint_publish -> "hint-publish"
   | Hint_claim -> "hint-claim"
@@ -76,7 +66,6 @@ let tag_name = function
   | Hint_expire -> "hint-expire"
   | Park -> "park"
   | Wake -> "wake"
-  | Mpsc_push -> "mpsc-push"
   | Mpsc_drain -> "mpsc-drain"
   | Far_probe -> "far-probe"
 
@@ -89,8 +78,6 @@ type t = {
   tg : int array;
   p1 : int array;
   p2 : int array;
-  tag_counts : int array; (* drop-proof per-tag totals *)
-  tag_arg_totals : int array; (* drop-proof per-tag sums of a2 *)
   mutable head : int; (* records ever written; slot = head land mask *)
 }
 
@@ -111,8 +98,6 @@ let create ?(capacity = 8192) ~domain () =
       tg = Array.make cap 0;
       p1 = Array.make cap 0;
       p2 = Array.make cap 0;
-      tag_counts = Array.make tag_count 0;
-      tag_arg_totals = Array.make tag_count 0;
       head = 0;
     }
 
@@ -126,8 +111,6 @@ let disabled =
     tg = [||];
     p1 = [||];
     p2 = [||];
-    tag_counts = Array.make tag_count 0;
-    tag_arg_totals = Array.make tag_count 0;
     head = 0;
   }
 
@@ -141,22 +124,15 @@ let record t tag ~a1 ~a2 =
   if t.on then begin
     let i = t.head land t.mask in
     t.ts.(i) <- Cpool_util.Clock.now_ns ();
-    let k = tag_index tag in
-    t.tg.(i) <- k;
+    t.tg.(i) <- tag_index tag;
     t.p1.(i) <- a1;
     t.p2.(i) <- a2;
-    t.tag_counts.(k) <- t.tag_counts.(k) + 1;
-    t.tag_arg_totals.(k) <- t.tag_arg_totals.(k) + a2;
     t.head <- t.head + 1
   end
 
 let recorded t = t.head
 
 let dropped t = max 0 (t.head - t.cap)
-
-let count t tag = t.tag_counts.(tag_index tag)
-
-let arg_total t tag = t.tag_arg_totals.(tag_index tag)
 
 type event = { ts_ns : int; ev_domain : int; tag : tag; a1 : int; a2 : int }
 
@@ -181,16 +157,6 @@ let merge tracers =
       | c -> c)
     all
 
-let counts tracers =
-  List.map
-    (fun tag -> (tag, List.fold_left (fun acc t -> acc + count t tag) 0 tracers))
-    all_tags
-
-let arg_totals tracers =
-  List.map
-    (fun tag -> (tag, List.fold_left (fun acc t -> acc + arg_total t tag) 0 tracers))
-    all_tags
-
 let total_recorded tracers = List.fold_left (fun acc t -> acc + recorded t) 0 tracers
 
 let total_dropped tracers = List.fold_left (fun acc t -> acc + dropped t) 0 tracers
@@ -203,9 +169,8 @@ module J = Cpool_util.Json
 let observed_size e =
   match e.tag with
   | Add | Remove | Spill | Steal_probe -> Some (e.a1, e.a2)
-  | Steal_claim | Steal_transfer | Sweep | Hint_publish | Hint_claim
-  | Hint_deliver | Hint_expire | Park | Wake | Mpsc_push | Mpsc_drain
-  | Far_probe ->
+  | Steal_claim | Sweep | Hint_publish | Hint_claim | Hint_deliver
+  | Hint_expire | Park | Wake | Mpsc_drain | Far_probe ->
     None
 
 let chrome_us ~t0 e = float_of_int (e.ts_ns - t0) /. 1e3

@@ -1,22 +1,24 @@
-(** Per-handle, lock-free event tracer for the multicore pool.
+(** Per-handle, lock-free event ring for the multicore pool.
 
     {!Mc_stats} says {e how many} steals, hints and spills a run made;
-    this module says {e when}. Each {!Mc_pool} handle owns one tracer: a
-    fixed-capacity ring of [(monotonic_ns, tag, a1, a2)] records written
-    with plain unshared stores by the handle's domain only — the same
-    single-writer discipline as {!Mc_stats}, so recording allocates
+    this module says {e when}. It is an optional sink behind {!Mc_stats}:
+    a traced pool's handles each own one ring inside their stats, and
+    every handle-level [Mc_stats.note_*] bumps its counter and appends the
+    event here in the same call, so each event is written once. The ring
+    is a fixed-capacity array of [(monotonic_ns, tag, a1, a2)] records
+    written with plain unshared stores by the handle's domain only — the
+    same single-writer discipline as {!Mc_stats}, so recording allocates
     nothing and takes no lock (Blelloch-Wei-style constant-time per-thread
     slots). Timestamps come from {!Cpool_util.Clock}.
 
     When the ring is full the oldest record is overwritten and a drop
-    counter advances — truncation is never silent ({!dropped}), and the
-    per-tag running totals ({!count}, {!arg_total}) keep counting through
-    overflow, so event-derived steal/hint counts reconcile exactly with
-    {!Mc_stats} no matter how small the ring was.
+    counter advances, so truncation is never silent ({!dropped}). Exact
+    totals are {!Mc_stats}'s job: the counters keep counting however
+    small the ring was.
 
-    A disabled tracer ({!disabled}) records nothing: {!record} checks one
+    A disabled ring ({!disabled}) records nothing: {!record} checks one
     flag and returns, so untraced runs pay a single predictable branch per
-    recording site.
+    recorded event.
 
     After quiescence, {!merge} sorts the per-domain rings into one
     timeline, {!to_chrome} emits Chrome trace-event JSON (one [tid] track
@@ -25,18 +27,19 @@
     so the paper's Figures 3-6 can be drawn from real runs. *)
 
 (** What happened. The two integer payloads [a1]/[a2] per tag:
-    - [Add], [Remove], [Spill]: segment touched, its size after the op;
+    - [Add], [Remove], [Spill]: segment touched, its size after the op (a
+      spill is a lock-free push onto that segment's MPSC inbox);
     - [Steal_probe]: segment examined, its observed size;
-    - [Steal_claim]: victim segment, elements taken (kept + banked);
-    - [Steal_transfer]: thief's own segment, elements banked into it;
+    - [Steal_claim]: victim segment, elements taken (kept + banked into
+      the thief's own segment, the event's track);
     - [Sweep]: the sweeper's slot, 0;
     - [Hint_publish], [Hint_expire]: the searcher's slot, 0;
     - [Park], [Wake]: the searcher's slot, 0 — they bracket each block on
       the pool's eventcount ({!Mc_park}), on every kind;
     - [Hint_claim], [Hint_deliver]: the claimed (parked searcher's) slot, 0;
-    - [Mpsc_push]: the target segment of a lock-free spill push, 0;
     - [Mpsc_drain]: the owner's segment, elements folded from the inbox
-      into the ring by that exchange-drain;
+      into the ring by that exchange-drain (the one ring-only event: its
+      counter lives in the segment's own stats);
     - [Far_probe]: segment probed outside the prober's locality group, the
       emulated remote latency charged for it in ns (only emitted when the
       pool has a topology; one per far [Steal_probe]). *)
@@ -46,7 +49,6 @@ type tag =
   | Spill
   | Steal_probe
   | Steal_claim
-  | Steal_transfer
   | Sweep
   | Hint_publish
   | Hint_claim
@@ -54,7 +56,6 @@ type tag =
   | Hint_expire
   | Park
   | Wake
-  | Mpsc_push
   | Mpsc_drain
   | Far_probe
 
@@ -73,7 +74,7 @@ val create : ?capacity:int -> domain:int -> unit -> t
 
 val disabled : t
 (** The shared no-op tracer: {!record} on it stores nothing, and every
-    reader sees an empty, zero-count tracer. *)
+    reader sees an empty tracer. *)
 
 val enabled : t -> bool
 
@@ -85,7 +86,9 @@ val capacity : t -> int
 val record : t -> tag -> a1:int -> a2:int -> unit
 (** Stamp {!Cpool_util.Clock.now_ns} and append one record, overwriting
     the oldest when full. Single writer: only the owning domain may call
-    it. No allocation, no lock, one enabled-flag branch when disabled. *)
+    it. No allocation, no lock, one enabled-flag branch when disabled. The
+    pool records through {!Mc_stats}'s [note_*] calls; [Mpsc_drain] is
+    its only direct call. *)
 
 val recorded : t -> int
 (** Total records ever written (monotonic; survives overflow). *)
@@ -93,13 +96,6 @@ val recorded : t -> int
 val dropped : t -> int
 (** Records overwritten by ring overflow ([recorded - capacity] when
     positive). *)
-
-val count : t -> tag -> int
-(** Drop-proof running total of records with this tag. *)
-
-val arg_total : t -> tag -> int
-(** Drop-proof running sum of the [a2] payloads of this tag — e.g.
-    [arg_total t Steal_claim] is the total elements this handle stole. *)
 
 type event = {
   ts_ns : int;  (** {!Cpool_util.Clock} monotonic stamp. *)
@@ -116,12 +112,6 @@ val events : t -> event list
 val merge : t list -> event list
 (** All surviving events of every tracer, sorted by timestamp (ties by
     domain) into one timeline. *)
-
-val counts : t list -> (tag * int) list
-(** Summed drop-proof {!count} per tag over the tracers, every tag listed. *)
-
-val arg_totals : t list -> (tag * int) list
-(** Summed drop-proof {!arg_total} per tag. *)
 
 val total_recorded : t list -> int
 

@@ -1,6 +1,7 @@
-(* Tests for Mc_trace: the per-handle lock-free event tracer, its
+(* Tests for Mc_trace: the per-handle lock-free event ring, its
    ring-overflow semantics, the Chrome exporter, the simulator-compatible
-   size series, and the event/telemetry reconciliation of Mc_run's checks. *)
+   size series, and the pool's one event path — each Mc_stats note bumps
+   its counter and appends its event to the handle's ring. *)
 
 open Cpool_mc
 
@@ -61,17 +62,24 @@ let test_overflow_keeps_newest () =
   Alcotest.(check (list int)) "newest events, oldest first" [ 7; 8; 9; 10 ]
     (List.map (fun e -> e.Mc_trace.a1) evs)
 
-let test_counts_drop_proof () =
-  let t = Mc_trace.create ~capacity:4 ~domain:0 () in
-  for i = 1 to 9 do
-    Mc_trace.record t Mc_trace.Steal_claim ~a1:0 ~a2:i
+let test_stats_exact_through_overflow () =
+  let pool =
+    Mc_pool.of_config
+      { Mc_pool.Config.default with segments = 1; trace = true; trace_capacity = 4 }
+  in
+  let h = Mc_pool.register pool in
+  for i = 1 to 10 do
+    Mc_pool.add pool h i
   done;
-  Mc_trace.record t Mc_trace.Sweep ~a1:0 ~a2:0;
-  (* The ring only holds 4 records, but the running totals see all 10. *)
-  Alcotest.(check int) "count through overflow" 9 (Mc_trace.count t Mc_trace.Steal_claim);
-  Alcotest.(check int) "arg_total through overflow" 45 (Mc_trace.arg_total t Mc_trace.Steal_claim);
-  Alcotest.(check int) "other tag" 1 (Mc_trace.count t Mc_trace.Sweep);
-  Alcotest.(check int) "absent tag" 0 (Mc_trace.count t Mc_trace.Park)
+  let stats = Mc_pool.stats_of_handle h and ring = Mc_pool.trace_of_handle h in
+  Alcotest.(check bool) "the handle's ring lives in its stats" true (Mc_stats.ring stats == ring);
+  (* The ring only holds 4 records, but the counter saw all 10 adds. *)
+  Alcotest.(check int) "stats adds" 10
+    (Cpool_metrics.Counters.get (Mc_stats.counters stats) "adds");
+  Alcotest.(check int) "ring events" 4 (List.length (Mc_trace.events ring));
+  Alcotest.(check int) "dropped" 6 (Mc_trace.dropped ring);
+  Alcotest.(check (list int)) "newest sizes survive" [ 7; 8; 9; 10 ]
+    (List.map (fun e -> e.Mc_trace.a2) (Mc_trace.events ring))
 
 let test_disabled_records_nothing () =
   let t = Mc_trace.disabled in
@@ -80,7 +88,6 @@ let test_disabled_records_nothing () =
   Mc_trace.record t Mc_trace.Steal_claim ~a1:1 ~a2:2;
   Alcotest.(check int) "no records" 0 (Mc_trace.recorded t);
   Alcotest.(check int) "no drops" 0 (Mc_trace.dropped t);
-  Alcotest.(check int) "no counts" 0 (Mc_trace.count t Mc_trace.Add);
   Alcotest.(check (list reject)) "no events" [] (Mc_trace.events t)
 
 (* --- Merge ----------------------------------------------------------- *)
@@ -103,10 +110,10 @@ let test_merge_sorted () =
     | _ -> ()
   in
   check_sorted merged;
-  let counts = Mc_trace.counts [ a; b ] in
-  Alcotest.(check int) "summed adds" 5 (List.assoc Mc_trace.Add counts);
-  Alcotest.(check int) "summed removes" 5 (List.assoc Mc_trace.Remove counts);
-  Alcotest.(check int) "every tag listed" (List.length Mc_trace.all_tags) (List.length counts)
+  let count tag = List.length (List.filter (fun e -> e.Mc_trace.tag = tag) merged) in
+  Alcotest.(check int) "summed adds" 5 (count Mc_trace.Add);
+  Alcotest.(check int) "summed removes" 5 (count Mc_trace.Remove);
+  Alcotest.(check int) "summed sweeps" 5 (count Mc_trace.Sweep)
 
 (* --- Chrome export --------------------------------------------------- *)
 
@@ -201,6 +208,28 @@ let test_size_series () =
 
 (* --- Pool integration ------------------------------------------------ *)
 
+(* The pool-wide counter each event tag is the ring copy of. [Mpsc_drain]
+   is one event per draining pop, which drains at least once. *)
+let counter_of_tag stats tag =
+  let get = Cpool_metrics.Counters.get (Mc_stats.counters stats) in
+  match tag with
+  | Mc_trace.Add -> get "adds"
+  | Remove -> get "local removes"
+  | Spill -> get "spill adds"
+  | Steal_probe -> get "segments examined"
+  | Steal_claim -> get "steals"
+  | Sweep -> get "sweeps"
+  | Hint_publish -> get "hints published"
+  | Hint_claim -> get "hints claimed"
+  | Hint_deliver -> get "hints delivered"
+  | Hint_expire -> get "hints expired"
+  | Park -> get "parks"
+  | Wake -> get "wakes"
+  | Mpsc_drain -> get "inbox drains"
+  | Far_probe -> get "far probes"
+
+let tag_count events tag = List.length (List.filter (fun e -> e.Mc_trace.tag = tag) events)
+
 let test_pool_tracing_disabled_by_default () =
   let pool : int Mc_pool.t = Mc_pool.of_config { Mc_pool.Config.default with segments = 2 } in
   Alcotest.(check bool) "off by default" false (Mc_pool.tracing pool);
@@ -238,16 +267,28 @@ let test_pool_records_ops kind () =
   Mc_pool.deregister pool h1;
   let traces = Mc_pool.traces pool in
   Alcotest.(check int) "both handles collected" 2 (List.length traces);
-  let counts = Mc_trace.counts traces in
-  Alcotest.(check int) "adds traced" 4 (List.assoc Mc_trace.Add counts);
-  Alcotest.(check int) "steal traced" 1 (List.assoc Mc_trace.Steal_claim counts);
-  Alcotest.(check bool) "probe traced" true (List.assoc Mc_trace.Steal_probe counts >= 1);
-  Alcotest.(check bool) "local remove traced" true (List.assoc Mc_trace.Remove counts >= 1);
-  (* Event-derived steal count matches the pool's own counter. *)
+  Alcotest.(check int) "no ring overflow" 0 (Mc_trace.total_dropped traces);
+  let events = Mc_trace.merge traces and stats = Mc_pool.stats pool in
+  (* With nothing dropped, every note must have reached the ring. *)
+  List.iter
+    (fun tag ->
+      Alcotest.(check int)
+        (Mc_trace.tag_name tag ^ " events = counter")
+        (counter_of_tag stats tag) (tag_count events tag))
+    Mc_trace.all_tags;
+  let count = tag_count events in
+  Alcotest.(check int) "adds traced" 4 (count Mc_trace.Add);
+  Alcotest.(check int) "steal traced" 1 (count Mc_trace.Steal_claim);
+  Alcotest.(check bool) "probe traced" true (count Mc_trace.Steal_probe >= 1);
+  Alcotest.(check bool) "local remove traced" true (count Mc_trace.Remove >= 1);
   Alcotest.(check int) "events agree with pool.steals" (Mc_pool.steals pool)
-    (List.assoc Mc_trace.Steal_claim counts)
+    (count Mc_trace.Steal_claim)
 
 (* --- Stress reconciliation: events vs telemetry, per kind ------------- *)
+
+(* A ring keeps the newest of its handle's events, so under churn and
+   ring overflow each tag's surviving events never outnumber its
+   counter. *)
 
 let test_stress_reconciles kind () =
   let r =
@@ -263,7 +304,14 @@ let test_stress_reconciles kind () =
       }
   in
   Alcotest.(check (list string)) "no violations" [] r.run.violations;
-  Alcotest.(check bool) "traces collected" true (r.run.traces <> [])
+  Alcotest.(check bool) "traces collected" true (r.run.traces <> []);
+  let events = Mc_trace.merge r.run.traces in
+  List.iter
+    (fun tag ->
+      let n = tag_count events tag and c = counter_of_tag r.run.merged tag in
+      if n > c then
+        Alcotest.failf "%s: %d ring events > counter %d" (Mc_trace.tag_name tag) n c)
+    Mc_trace.all_tags
 
 let suites =
   let open Alcotest in
@@ -275,7 +323,7 @@ let suites =
         test_case "capacity pow2" `Quick test_capacity_rounds_to_pow2;
         test_case "record and read" `Quick test_record_and_read;
         test_case "overflow keeps newest" `Quick test_overflow_keeps_newest;
-        test_case "counts drop-proof" `Quick test_counts_drop_proof;
+        test_case "stats exact through ring overflow" `Quick test_stats_exact_through_overflow;
         test_case "disabled records nothing" `Quick test_disabled_records_nothing;
         test_case "merge sorted" `Quick test_merge_sorted;
         test_case "chrome round trip" `Quick test_chrome_round_trip;
