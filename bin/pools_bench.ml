@@ -154,16 +154,20 @@ let list_cmd =
 
 (* --- shared mc-* arguments ---------------------------------------------- *)
 
-(* One shared parser for every pool kind, via Cpool_intf.of_string — a typo
-   is a hard CLI error (non-zero exit) carrying the valid-kind list, never
-   a silently substituted default. [None] means "all". *)
+(* One shared parser for the real pool's kinds, via Cpool_intf.of_string —
+   a typo, or the simulator-only hinted kind, is a usage error (exit 2)
+   carrying the valid-kind list, never a silently substituted default.
+   [None] means "all": the paper's three kinds. *)
 let kind_conv =
+  let valid = String.concat ", " (List.map Cpool_intf.to_string Cpool_intf.all) ^ " or all" in
   let parse = function
     | "all" -> Ok None
     | s -> (
       match Cpool_intf.of_string s with
+      | Ok Cpool_intf.Hinted ->
+        Error (`Msg ("kind hinted is simulator-only (valid kinds: " ^ valid ^ ")"))
       | Ok k -> Ok (Some k)
-      | Error msg -> Error (`Msg (msg ^ ", or all")))
+      | Error _ -> Error (`Msg (Printf.sprintf "unknown pool kind %S (valid kinds: %s)" s valid)))
   in
   let print fmt = function
     | Some k -> Format.pp_print_string fmt (Cpool_intf.to_string k)
@@ -209,7 +213,7 @@ let override_seconds seconds workloads =
     List.map (fun w -> { w with Cpool_intf.Workload.duration_s = s }) workloads
 
 let kind_arg default =
-  let doc = "Search algorithm: $(b,linear), $(b,random), $(b,tree), $(b,hinted) or $(b,all)." in
+  let doc = "Search algorithm: $(b,linear), $(b,random), $(b,tree) or $(b,all) (the three)." in
   Arg.(value & opt kind_conv default & info [ "kind"; "k" ] ~docv:"KIND" ~doc)
 
 let capacity_arg =
@@ -620,7 +624,9 @@ let mc_app_cmd =
     Arg.(value & opt (list int) [ 1; 2; 4 ] & info [ "domains"; "d" ] ~docv:"N,.." ~doc)
   in
   let app_kind =
-    let doc = "Pool kind to race against the stack: $(b,linear), $(b,random), $(b,tree), $(b,hinted) or $(b,all)." in
+    let doc =
+      "Pool kind to race against the stack: $(b,linear), $(b,random), $(b,tree) or $(b,all) (the three)."
+    in
     Arg.(value & opt kind_conv None & info [ "kind"; "k" ] ~docv:"KIND" ~doc)
   in
   let app_plies =

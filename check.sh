@@ -51,18 +51,14 @@ dune exec bin/pools_bench.exe -- mc-throughput --domains 4 --seconds 0.5 \
   --kind all --workload default --churn --capacity 32 \
   --out BENCH_mcsoak_bounded_smoke.json
 
-echo "== mc-throughput soak (hinted hand-off under a sparse mix) =="
+echo "== mc-throughput soak (all kinds, sparse mix: blocking removes park) =="
 dune exec bin/pools_bench.exe -- mc-throughput --domains 4 --seconds 0.3 \
-  --kind hinted --workload mix=0.35,initial=8 --churn \
-  --out BENCH_mchinted_soak_smoke.json
+  --kind all --workload mix=0.35,initial=8 --churn \
+  --out BENCH_mcsparse_soak_smoke.json
 
 echo "== mc-throughput smoke (fast path vs all-mutex baseline) =="
 dune exec bin/pools_bench.exe -- mc-throughput --domains 2 --seconds 0.2 \
   --out BENCH_mcpool_smoke.json
-
-echo "== mc-throughput smoke (hinted hand-off, sparse mix) =="
-dune exec bin/pools_bench.exe -- mc-throughput --domains 2 --seconds 0.2 \
-  --kind hinted --workload sparse --out BENCH_mcpool_hinted_smoke.json
 
 echo "== mc-throughput smoke (topology-aware vs distance-oblivious, two-group) =="
 # The committed topo/two_group.topo drives both this real-domain run and
@@ -71,9 +67,9 @@ dune exec bin/pools_bench.exe -- mc-throughput --domains 4 --seconds 0.2 \
   --kind linear --workload sparse --topology topo/two_group.topo \
   --out BENCH_mctopo_smoke.json
 
-echo "== mc-throughput --trace smoke (traced hinted cell, invariants and Chrome export) =="
+echo "== mc-throughput --trace smoke (traced tree cell, invariants and Chrome export) =="
 dune exec bin/pools_bench.exe -- mc-throughput --domains 3 --seconds 0.3 \
-  --kind hinted --workload mix=0.4,initial=11 \
+  --kind tree --workload mix=0.4,initial=11 \
   --trace TRACE_mcpool_smoke.json --out BENCH_mctrace_smoke.json
 
 echo "== mc-app smoke (minimax + n-queens on real domains, pool vs stack) =="
@@ -133,10 +129,9 @@ echo "== json-check (benchmark artifacts parse and validate) =="
 # (near_steals + far_steals must equal steals in every topology cell).
 dune exec bin/pools_bench.exe -- json-check BENCH_mcsoak_smoke.json
 dune exec bin/pools_bench.exe -- json-check BENCH_mcsoak_bounded_smoke.json
-dune exec bin/pools_bench.exe -- json-check BENCH_mchinted_soak_smoke.json
+dune exec bin/pools_bench.exe -- json-check BENCH_mcsparse_soak_smoke.json
 dune exec bin/pools_bench.exe -- json-check BENCH_mctrace_smoke.json
 dune exec bin/pools_bench.exe -- json-check BENCH_mcpool_smoke.json
-dune exec bin/pools_bench.exe -- json-check BENCH_mcpool_hinted_smoke.json
 dune exec bin/pools_bench.exe -- json-check BENCH_mctopo_smoke.json
 dune exec bin/pools_bench.exe -- json-check TRACE_mcpool_smoke.json
 dune exec bin/pools_bench.exe -- json-check BENCH_mcsiege_smoke.json
@@ -154,15 +149,16 @@ dune exec bin/pools_bench.exe -- siege-diff BENCH_mcsiege_smoke.json \
 # The committed baseline is rerun cell by cell (its cells carry their own
 # config); thresholds live in the artifact and are generous for CI noise.
 dune exec bin/pools_bench.exe -- siege-diff BENCH_mcsiege.json
-rm -f BENCH_mcpool_smoke.json BENCH_mcpool_hinted_smoke.json \
+rm -f BENCH_mcpool_smoke.json \
   BENCH_mctopo_smoke.json TRACE_mcpool_smoke.json BENCH_mcsiege_smoke.json \
   BENCH_mcapp_smoke.json BENCH_mcsoak_smoke.json BENCH_mcsoak_bounded_smoke.json \
-  BENCH_mchinted_soak_smoke.json BENCH_mctrace_smoke.json
+  BENCH_mcsparse_soak_smoke.json BENCH_mctrace_smoke.json
 
 echo "== usage-error exit codes (pools_bench, PR 7 convention) =="
 # mc-throughput must reject nonsense flags with a usage error on stderr
-# and exit 2 (0 = clean, 1 = findings, 2 = usage).
-for bad in "--domains 0" "--seconds=-1" "--topology nonexistent.topo" \
+# and exit 2 (0 = clean, 1 = findings, 2 = usage). The hinted kind is
+# simulator-only, so naming it on a multicore command is one of them.
+for bad in "--domains 0" "--seconds=-1" "--topology nonexistent.topo" "--kind hinted" \
   "--churn --trace /dev/null --domains 2 --seconds 0.01 --no-baseline"; do
   if dune exec bin/pools_bench.exe -- mc-throughput $bad --out /dev/null \
     >/dev/null 2>&1; then

@@ -9,11 +9,6 @@
    interleavings we must certify. *)
 module M = Cpool_mc.Mc_segment_core.Make (Sched.Prim)
 
-(* The hint board on the same instrumented primitives: the hinted hand-off
-   scenarios below compose it with M's spill inbox exactly as
-   Mc_pool.try_deliver / the parked hunt do. *)
-module H = Cpool_mc.Mc_hints.Make (Sched.Prim)
-
 (* The eventcount idle searchers and awaiters park on, on the same
    primitives: the park scenarios below compose it with M exactly as
    Mc_pool's hunt, add and deregister do. *)
@@ -406,133 +401,6 @@ let push_vs_reserve () =
         Linz.check h);
   }
 
-(* The hinted hand-off's core race: a searcher publishing its hint and
-   retracting it (the park/unpark edge) against an adder trying to claim it
-   and deliver into the searcher's segment — Mc_pool.try_deliver vs the
-   hinted hunt, on the shipped protocol. The retract CAS and the claim CAS
-   linearize on the slot, so exactly one side must win, the element must
-   land exactly once (delivered into the searcher's segment, or added to
-   the adder's own), and the board must end Free with no waiter count
-   leaked. *)
-let hint_add_vs_park () =
-  let name = "hint add vs park/retract" in
-  let h = Linz.create () in
-  Linz.declare_seg h ~id:0 ~capacity:None;
-  Linz.declare_seg h ~id:1 ~capacity:None;
-  let seeker = M.make ~id:0 () in
-  let adder_seg = M.make ~id:1 () in
-  let board = H.create ~slots:2 () in
-  let retracted = ref false in
-  let claimed = ref false in
-  let searcher () =
-    (* Publish, then immediately try to unpark — the tightest
-       park-then-retract window. A lost retract means the adder's delivery
-       is in flight; the post-run checks absorb it (awaiting the release
-       in-fiber would spin the DFS through unbounded schedules). *)
-    H.publish board 0;
-    match H.retract board 0 with
-    | H.Retracted -> retracted := true
-    | H.Claim_pending -> ()
-  in
-  let adder () =
-    match H.try_claim board ~from:1 with
-    | Some w ->
-      claimed := true;
-      if w <> 0 then failf name "claimed slot %d, expected 0" w;
-      if not (l_spill h 1 0 seeker 7) then failf name "unbounded spill_add rejected";
-      H.release board w
-    | None -> l_add h 1 1 adder_seg 7
-  in
-  {
-    Sched.threads = [ searcher; adder ];
-    check_step =
-      (fun () ->
-        bound_ok name seeker ();
-        bound_ok name adder_seg ();
-        (* The waiter count is conservative, not exact: publish stores the
-           state and bumps the count in two steps, so a claim landing in
-           between decrements first and the count transiently reads -1.
-           With one hint it can never leave [-1, 1]; it must be exactly 0
-           again at quiescence. *)
-        let w = H.waiters board in
-        if w < -1 || w > 1 then failf name "waiter count %d out of [-1, 1]" w);
-    check_final =
-      (fun () ->
-        quiescent name seeker;
-        quiescent name adder_seg;
-        if !retracted && !claimed then failf name "hint both retracted and claimed";
-        if (not !retracted) && not !claimed then
-          failf name "hint neither retracted nor claimed";
-        if H.waiters board <> 0 then
-          failf name "waiter count leaked: %d" (H.waiters board);
-        if not (H.is_free board 0) then failf name "slot 0 not Free at quiescence";
-        let delivered = stored seeker and local = stored adder_seg in
-        if delivered + local <> 1 then
-          failf name "element lost or duplicated: %d delivered + %d local" delivered
-            local;
-        if !claimed && delivered <> 1 then failf name "claim won but no delivery landed";
-        if !retracted && local <> 1 then
-          failf name "retract won but the add left its own segment";
-        Linz.check h);
-  }
-
-(* Two adders racing to claim the single published hint: the claim CAS must
-   admit exactly one winner — the loser falls back to its own segment, the
-   winner delivers into the parked searcher's — and the board must end Free
-   with the waiter count at zero. The searcher is already parked (the board
-   is seeded before the run), which is the state Mc_pool reaches before any
-   adder can observe the hint. *)
-let hint_double_claim () =
-  let name = "hint double-claim" in
-  let h = Linz.create () in
-  Linz.declare_seg h ~id:0 ~capacity:None;
-  Linz.declare_seg h ~id:1 ~capacity:None;
-  Linz.declare_seg h ~id:2 ~capacity:None;
-  let seeker = M.make ~id:0 () in
-  let seg1 = M.make ~id:1 () in
-  let seg2 = M.make ~id:2 () in
-  let board = H.create ~slots:3 () in
-  H.publish board 0;
-  let wins = Array.make 2 false in
-  let adder seg_id seg slot idx () =
-    match H.try_claim board ~from:slot with
-    | Some w ->
-      wins.(idx) <- true;
-      if w <> 0 then failf name "claimed slot %d, expected 0" w;
-      if not (l_spill h idx 0 seeker (10 + idx)) then
-        failf name "unbounded spill_add rejected";
-      H.release board w
-    | None -> l_add h idx seg_id seg (10 + idx)
-  in
-  {
-    Sched.threads = [ adder 1 seg1 1 0; adder 2 seg2 2 1 ];
-    check_step =
-      (fun () ->
-        bound_ok name seeker ();
-        (* Seeded by a pre-run publish, so both transitions are complete:
-           claims only ever decrement from a settled 1. *)
-        let w = H.waiters board in
-        if w < 0 || w > 1 then failf name "waiter count %d out of [0, 1]" w);
-    check_final =
-      (fun () ->
-        quiescent name seeker;
-        quiescent name seg1;
-        quiescent name seg2;
-        (match wins with
-        | [| true; true |] -> failf name "both adders claimed the one hint"
-        | [| false; false |] -> failf name "neither adder claimed the published hint"
-        | _ -> ());
-        if H.waiters board <> 0 then
-          failf name "waiter count leaked: %d" (H.waiters board);
-        if not (H.is_free board 0) then failf name "slot 0 not Free at quiescence";
-        if stored seeker <> 1 then
-          failf name "expected exactly one delivery, segment holds %d" (stored seeker);
-        if stored seeker + stored seg1 + stored seg2 <> 2 then
-          failf name "conservation broken: %d elements of 2"
-            (stored seeker + stored seg1 + stored seg2);
-        Linz.check h);
-  }
-
 (* ---- scenarios only the reduction can enumerate ---------------------- *)
 
 (* Three stealers and the owner's pop converging on one ring: every claim
@@ -576,66 +444,6 @@ let three_stealers () =
         if all <> [ 1; 2; 3; 4 ] then
           failf name "elements lost or duplicated: [%s]"
             (String.concat ";" (List.map string_of_int all));
-        Linz.check h);
-  }
-
-(* The full hint life cycle under three-way contention: a searcher
-   publishes and immediately retracts (the park/unpark edge) while two
-   adders race each other — and the retract — to claim the hint. At most
-   one of the three CASes wins the slot; the element accounting and board
-   state must come out exact in every outcome. *)
-let hint_three_way () =
-  let name = "hint publish/claim/expire three-way" in
-  let h = Linz.create () in
-  Linz.declare_seg h ~id:0 ~capacity:None;
-  Linz.declare_seg h ~id:1 ~capacity:None;
-  Linz.declare_seg h ~id:2 ~capacity:None;
-  let seeker = M.make ~id:0 () in
-  let seg1 = M.make ~id:1 () in
-  let seg2 = M.make ~id:2 () in
-  let board = H.create ~slots:3 () in
-  let retracted = ref false in
-  let wins = Array.make 2 false in
-  let searcher () =
-    H.publish board 0;
-    match H.retract board 0 with
-    | H.Retracted -> retracted := true
-    | H.Claim_pending -> ()
-  in
-  let adder seg_id seg slot idx () =
-    match H.try_claim board ~from:slot with
-    | Some w ->
-      wins.(idx) <- true;
-      if w <> 0 then failf name "claimed slot %d, expected 0" w;
-      if not (l_spill h (idx + 1) 0 seeker (10 + idx)) then
-        failf name "unbounded spill_add rejected";
-      H.release board w
-    | None -> l_add h (idx + 1) seg_id seg (10 + idx)
-  in
-  {
-    Sched.threads = [ searcher; adder 1 seg1 1 0; adder 2 seg2 2 1 ];
-    check_step =
-      (fun () ->
-        bound_ok name seeker ();
-        let w = H.waiters board in
-        if w < -1 || w > 1 then failf name "waiter count %d out of [-1, 1]" w);
-    check_final =
-      (fun () ->
-        quiescent name seeker;
-        quiescent name seg1;
-        quiescent name seg2;
-        let claims = (if wins.(0) then 1 else 0) + if wins.(1) then 1 else 0 in
-        if claims > 1 then failf name "both adders claimed the one hint";
-        if !retracted && claims > 0 then
-          failf name "hint both retracted and claimed";
-        if H.waiters board <> 0 then
-          failf name "waiter count leaked: %d" (H.waiters board);
-        if not (H.is_free board 0) then failf name "slot 0 not Free at quiescence";
-        if stored seeker <> claims then
-          failf name "claims %d but %d deliveries" claims (stored seeker);
-        if stored seeker + stored seg1 + stored seg2 <> 2 then
-          failf name "conservation broken: %d elements of 2"
-            (stored seeker + stored seg1 + stored seg2);
         Linz.check h);
   }
 
@@ -866,10 +674,7 @@ let scenarios =
     { name = "pop-vs-steal-one"; instance = pop_vs_steal_one };
     { name = "mpsc-push-drain"; instance = mpsc_push_vs_drain };
     { name = "push-vs-reserve"; instance = push_vs_reserve };
-    { name = "hint-add-vs-park"; instance = hint_add_vs_park };
-    { name = "hint-double-claim"; instance = hint_double_claim };
     { name = "three-stealers"; instance = three_stealers };
-    { name = "hint-three-way"; instance = hint_three_way };
     { name = "spill-spill-drain"; instance = spill_spill_drain };
     { name = "near-steal-vs-pop"; instance = near_steal_vs_pop };
     { name = "park-vs-add"; instance = park_vs_add };

@@ -26,9 +26,9 @@
     overfilling a bounded segment) and the lock-free ring protocol's
     characteristic races (owner pop vs steal claim; owner push vs bounded
     reservation), checked exhaustively-up-to-commutation rather than
-    stochastically. The last scenarios (three stealers on one ring; the
-    three-way hint life cycle; dual spillers against the inbox drain) are
-    enumerable {e only} with the reduction — their exhaustive schedule
+    stochastically. The last scenarios (three stealers on one ring; dual
+    spillers against the inbox drain) are enumerable {e only} with the
+    reduction — their exhaustive schedule
     spaces exceed the explorer's bound. *)
 
 type scenario = { name : string; instance : unit -> Sched.instance }

@@ -39,9 +39,9 @@ type config = {
 }
 
 val default : config
-(** All four kinds; 1, 2 and 4 domains; 3-ply minimax forking 1 ply
-    (64 coarse subtree tasks); 12-queens forking 3 rows (879 fine
-    tasks); best of 3; seed 42. *)
+(** The paper's three kinds ({!Cpool_intf.all}); 1, 2 and 4 domains;
+    3-ply minimax forking 1 ply (64 coarse subtree tasks); 12-queens
+    forking 3 rows (879 fine tasks); best of 3; seed 42. *)
 
 type cell = {
   app : app;

@@ -1,9 +1,10 @@
 (** The shared pool interface: one [kind] type for every pool.
 
     Both the simulated pool ({!Cpool.Pool}) and the real multicore pool
-    ({!Cpool_mc.Mc_pool}) implement the same four search algorithms, so
-    they re-export this single [kind] — callers, CLIs and configs name an
-    algorithm once and use it against either implementation. *)
+    ({!Cpool_mc.Mc_pool}) implement the paper's three search algorithms,
+    so they re-export this single [kind] — callers, CLIs and configs name
+    an algorithm once and use it against either implementation. The
+    fourth kind, [Hinted], runs in the simulator only. *)
 
 type kind =
   | Linear  (** Ring scan from the last successful segment (paper §3.1). *)
@@ -12,10 +13,12 @@ type kind =
   | Hinted
       (** Linear search plus a hint board: an empty-handed searcher
           announces itself and adders deliver elements directly into its
-          segment (paper §5). *)
+          segment (paper §5). Simulator-only: the real pool rejects it,
+          because once idle searchers park the board no longer pays. *)
 
 val all : kind list
-(** Every kind, in presentation order: [Linear; Random; Tree; Hinted]. *)
+(** The paper's three kinds, in presentation order: [Linear; Random;
+    Tree] — every kind both pools run. [Hinted] is not in it. *)
 
 val to_string : kind -> string
 (** Lowercase names: ["linear"], ["random"], ["tree"], ["hinted"]. *)

@@ -66,7 +66,7 @@ val near_first_order : t -> from:int -> int array
 (** [near_first_order t ~from] is a deterministic permutation of
     [0 .. nodes t - 1]: [from] first, then ascending distance from [from],
     ties broken by ring offset. This is the aware probe order for
-    Linear/Hinted search and for steal sweeps. *)
+    Linear search and for steal sweeps. *)
 
 val distance_spans : t -> from:int -> int array -> (int * int) list
 (** [distance_spans t ~from order] lists the [(offset, length)] spans of

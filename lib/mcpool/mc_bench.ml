@@ -63,11 +63,11 @@ let phase config cell lat pool (w : Mc_run.worker) ~deadline_ns =
   let add_threshold = int_of_float (cell.workload.Workload.mix *. 1_000_000.0) in
   let sample_phase = Cpool_util.Rng.int rng sample_every in
   (* Sparse cells use the blocking remove: the pool runs dry by design, so
-     "what does a searcher do about an empty pool" — spin-searching
-     (Linear/Random/Tree) vs parking on the hint board (Hinted) — is
-     exactly the behaviour under test. Blocking removes can stall until a
-     peer adds, so the deadline is checked every batch. Sufficient cells
-     keep the non-blocking remove and the sparser deadline check. *)
+     "what does a searcher do about an empty pool" — search, spin, then
+     park — is exactly the behaviour under test. Blocking removes can
+     stall until a peer adds, so the deadline is checked every batch.
+     Sufficient cells keep the non-blocking remove and the sparser
+     deadline check. *)
   let blocking = Workload.sparse_regime cell.workload in
   let deadline_mask = if blocking then 0 else 15 in
   (* Odd-numbered workers re-register every ~4096 ops. *)
@@ -196,12 +196,6 @@ let render_traced r =
     (Mc_trace.total_dropped o.traces);
   add (Mc_stats.render_table ~title:"per-domain telemetry" o.per_worker);
   line "parking: %d parks, %d wakes" (Mc_stats.parks o.merged) (Mc_stats.wakes o.merged);
-  if r.cell.kind = Mc_pool.Hinted then
-    line "hint board: %d published, %d claimed, %d delivered, %d expired"
-      (Mc_stats.hints_published o.merged)
-      (Mc_stats.hints_claimed o.merged)
-      (Mc_stats.hints_delivered o.merged)
-      (Mc_stats.hints_expired o.merged);
   add (Mc_stats.render_path_table ~title:"ring fast/locked paths (per segment)" o.per_segment);
   let module S = Cpool_metrics.Sample in
   let dist name sample =
@@ -251,7 +245,7 @@ let render_traced r =
   Buffer.contents buf
 
 (* The pool-wide counters behind a cell's row: path counters live on the
-   segments, everything else (batches, hints, locality) on the handles —
+   segments, everything else (batches, parks, locality) on the handles —
    [merged] covers every handle ever issued, exact once the workers quit. *)
 let paths r = Mc_stats.merge_all (List.map snd r.run.Mc_run.per_segment)
 
@@ -272,7 +266,6 @@ let render results =
       string_of_int r.run.steals;
       string_of_int (batched_steals r);
       Cpool_metrics.Render.float_cell (mean_batch r);
-      string_of_int (Mc_stats.hints_delivered r.run.merged);
     ]
   in
   Buffer.add_string buf
@@ -280,7 +273,7 @@ let render results =
        ~headers:
          [
            "cell"; "ops/s"; "p50 µs"; "p99 µs"; "fast %"; "steals"; "batched";
-           "elems/batch"; "deliv";
+           "elems/batch";
          ]
        ~rows:(List.map row results) ());
   (* Each cell against its twin, when [twin] names one and it ran. *)
@@ -307,13 +300,6 @@ let render results =
     ~twin:(fun c -> if c.fast_path && c.topo = None then Some { c with fast_path = false } else None)
     ~label:(fun c -> "speedup " ^ cell_label c)
     ~over:"over the all-mutex baseline";
-  (* The hinted hand-off's headline: Hinted vs Linear on otherwise
-     identical cells (the paper's §5 comparison, sparse mix being the
-     regime it targets). *)
-  versus
-    ~twin:(fun c ->
-      if c.kind = Cpool_intf.Hinted then Some { c with kind = Cpool_intf.Linear } else None)
-    ~label:cell_label ~over:"over its linear twin";
   (* Locality telemetry and the topology headline: aware vs the
      distance-oblivious twin on the same emulated machine. *)
   let topo_results = List.filter (fun r -> r.cell.topo <> None) results in
@@ -408,10 +394,6 @@ let json_of_result r =
       ("steals", J.Int o.steals);
       ("batched_steals", J.Int (batched_steals r));
       ("mean_batch", J.Float (mean_batch r));
-      ("hints_published", J.Int (Mc_stats.hints_published m));
-      ("hints_claimed", J.Int (Mc_stats.hints_claimed m));
-      ("hints_delivered", J.Int (Mc_stats.hints_delivered m));
-      ("hints_expired", J.Int (Mc_stats.hints_expired m));
     ]
     @ topo_fields)
 
@@ -455,8 +437,7 @@ let validate_json doc =
       | Some _ | None -> Error (where (Printf.sprintf "missing boolean %S" name))
     in
     let* () =
-      all_numbers
-        [ "domains"; "ops_per_sec"; "hints_published"; "hints_claimed"; "hints_delivered"; "hints_expired" ]
+      all_numbers [ "domains"; "ops_per_sec" ]
     in
     let* o = num "ops" in
     let* a = num "ops_attempted" in

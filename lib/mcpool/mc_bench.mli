@@ -10,9 +10,8 @@
     paper's regimes: {e sufficient} (> 50% adds, prefilled, removes almost
     always hit the owner's own segment — non-blocking removes) and
     {e sparse} (< 50% adds, the pool runs dry and steal traffic dominates —
-    {e blocking} removes, so what a searcher does about an empty pool,
-    spin-searching vs parking on the [Hinted] hint board, is part of the
-    measurement). Each (kind, domains, mix)
+    {e blocking} removes, so what a searcher does about an empty pool —
+    search, spin, then park — is part of the measurement). Each (kind, domains, mix)
     cell runs twice when [baseline] is set: once with the segments'
     lock-free owner path and once in the all-mutex configuration
     ([fast_path:false]), so the speedup is measured within one binary on
@@ -99,8 +98,7 @@ val run : config -> result list
 val render : result list -> string
 (** Human-readable table of every cell plus, for each (kind, domains, mix)
     pair present in both protocols, the fast-path speedup over the
-    baseline, and for each Hinted cell whose Linear twin is present, the
-    hinted-over-linear speedup. Topology cells additionally get a near/far
+    baseline. Topology cells additionally get a near/far
     telemetry table and, twin permitting, the aware-over-oblivious
     speedup. Traced cells get the full report: per-domain and per-segment
     telemetry, steal distributions, event totals and the segment-size

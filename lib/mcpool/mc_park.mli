@@ -25,9 +25,9 @@
     finds the lost wakeup in that order, and none in the shipped one.
 
     {!Mc_pool} parks idle searchers on one eventcount per pool, and the
-    task scheduler ([Mc_task]) parks awaiters on its own. Like {!Mc_hints} the
-    code is a functor over {!Mc_prim.S}; [include Make (Mc_prim.Real)]
-    is what they run. *)
+    task scheduler ([Mc_task]) parks awaiters on its own. Like
+    {!Mc_segment_core} the code is a functor over {!Mc_prim.S};
+    [include Make (Mc_prim.Real)] is what they run. *)
 
 module type PARK = sig
   type t

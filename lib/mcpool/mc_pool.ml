@@ -38,7 +38,6 @@ type 'a t = {
   steal_count : int Atomic.t;
   seed : int64;
   tree : tree option;
-  hints : Mc_hints.t option; (* the Hinted kind's claimable hint board *)
   topo : topo_info option;
   trace_on : bool;
   trace_capacity : int;
@@ -174,6 +173,10 @@ let of_config (c : Config.t) =
   | Some _ | None -> ());
   if trace_capacity <= 0 then
     invalid_arg "Mc_pool.of_config: trace_capacity must be positive";
+  (* The hint board of the paper's Section 5 lives in the simulator only:
+     once every kind parks idle searchers, it buys nothing on real cores. *)
+  if kind = Hinted then
+    invalid_arg "Mc_pool.of_config: Hinted is simulator-only (use Linear, Random or Tree)";
   let tree =
     match kind with
     | Tree ->
@@ -185,11 +188,6 @@ let of_config (c : Config.t) =
           node_locks = Array.init (max 0 (leaves - 1)) (fun _ -> Mutex.create ());
         }
     | Linear | Random | Hinted -> None
-  in
-  let hints =
-    match kind with
-    | Hinted -> Some (Mc_hints.create ~slots:segments ())
-    | Linear | Random | Tree -> None
   in
   let topo =
     Option.map (make_topo_info ~segments ~tree ~aware:topology_aware) topology
@@ -207,7 +205,6 @@ let of_config (c : Config.t) =
     steal_count = Atomic.make 0;
     seed;
     tree;
-    hints;
     topo;
     trace_on = trace;
     trace_capacity;
@@ -348,41 +345,6 @@ let claimed_count t =
 
 let registered t = Atomic.get t.registered
 
-(* The Hinted hand-off's add side: claim a parked searcher and deposit
-   straight into its segment's spill inbox, skipping our own segment. The
-   cheap [waiters] read keeps the non-parked common case at one load; a
-   claim against a full bounded segment aborts the delivery (the claim is
-   still consumed — the searcher re-publishes when it next parks) and
-   falls through to the normal add path. *)
-let try_deliver t h x =
-  match t.hints with
-  | None -> false
-  | Some board ->
-    let order =
-      (* Near-first claim order: a topology-aware adder hands off to a
-         parked searcher in its own group before waking a far one. *)
-      match t.topo with
-      | Some ti when ti.aware -> Some ti.order.(h.pool_slot)
-      | _ -> None
-    in
-    Mc_hints.waiters board > 0
-    && (match Mc_hints.try_claim ?order board ~from:h.pool_slot with
-       | None -> false
-       | Some w ->
-         Mc_stats.note_hint_claimed h.stats ~a1:w;
-         (match t.topo with
-         | Some ti -> spin_ns ti.delay_ns.(h.pool_slot).(w)
-         | None -> ());
-         let delivered = Mc_segment.spill_add t.segs.(w) x in
-         Mc_hints.release board w;
-         (* The claimed searcher may be parked until this release. *)
-         Mc_park.notify t.idle;
-         if delivered then begin
-           Mc_stats.note_hint_delivered h.stats ~a1:w;
-           Mc_stats.note_spill h.stats ~a1:w ~size:Mc_segment.size t.segs.(w)
-         end;
-         delivered)
-
 let place t h x =
   match t.bound with
   | None ->
@@ -424,11 +386,9 @@ let place t h x =
       spill 1
     end
 
-(* Every placement, delivered, local or spilled, is an element a parked
-   searcher may be waiting for; a delivery notifies on its own. *)
+(* Every placement, local or spilled, is an element a parked searcher may
+   be waiting for. *)
 let try_add t h x =
-  try_deliver t h x
-  ||
   let placed = place t h x in
   if placed then Mc_park.notify t.idle;
   placed
@@ -584,6 +544,7 @@ let rec search_pass t h =
   let p = Array.length t.segs in
   let aware = match t.topo with Some ti -> ti.aware | None -> false in
   match t.pool_kind with
+  (* [Hinted] never gets here: [of_config] rejects it. *)
   | (Linear | Hinted) when aware ->
     (* Near-first scan: own slot, then ascending distance. The aware order
        replaces the last-found restart — locality beats the temporal hint
@@ -600,8 +561,6 @@ let rec search_pass t h =
     in
     go 0
   | Linear | Hinted ->
-    (* Hinted is linear search plus the hint board; the pass itself is the
-       same ring scan. *)
     let rec ring i =
       if i = p then None
       else
@@ -737,34 +696,13 @@ let quiescent t = Atomic.get t.searching >= Atomic.get t.registered
 let idle_ready t () =
   quiescent t || Array.exists (fun s -> Mc_segment.size s > 0) t.segs
 
-(* One attempt to block on the pool's eventcount until [ready] may hold.
-   [Park] and [Wake] bracket each actual block, so they balance whenever
-   no searcher is asleep. *)
-let park t h ~ready =
+(* One attempt to block on the pool's eventcount until work or quiescence
+   may be visible. [Park] and [Wake] bracket each actual block, so they
+   balance whenever no searcher is asleep. *)
+let park t h =
   let on_block () = Mc_stats.note_park h.stats ~a1:h.pool_slot in
-  if Mc_park.park ~on_block t.idle ~ready then Mc_stats.note_wake h.stats ~a1:h.pool_slot
-
-(* Parking a searcher. The Hinted kind's one extra step is to advertise
-   the park on the hint board, so an adder delivers straight into this
-   segment, and to take the hint down afterwards. A lost retract means an
-   adder's delivery is in flight: it ends with the slot's release and a
-   notify, and the slot must be Free before the hunt goes on. *)
-let park_searcher t h =
-  match t.hints with
-  | None -> park t h ~ready:(idle_ready t)
-  | Some board -> (
-    let me = h.pool_slot in
-    Mc_hints.publish board me;
-    Mc_stats.note_hint_published h.stats ~a1:me;
-    park t h ~ready:(idle_ready t);
-    match Mc_hints.retract board me with
-    | Mc_hints.Retracted ->
-      Mc_stats.note_hint_expired h.stats ~a1:me
-    | Mc_hints.Claim_pending ->
-      let released () = Mc_hints.is_free board me in
-      while not (released ()) do
-        park t h ~ready:released
-      done)
+  if Mc_park.park ~on_block t.idle ~ready:(idle_ready t) then
+    Mc_stats.note_wake h.stats ~a1:h.pool_slot
 
 (* The blocking search, one loop for every kind: search passes, a short
    spin, then park until an element becomes visible or every registered
@@ -787,7 +725,7 @@ let hunt t h =
       go (spins + 1)
     | None -> (
       let parked_at = Cpool_util.Clock.now_ns () in
-      park_searcher t h;
+      park t h;
       h.spin_budget <-
         (if Cpool_util.Clock.now_ns () - parked_at < short_park_ns then
            min park_spin_max (2 * h.spin_budget)

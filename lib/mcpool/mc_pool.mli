@@ -16,11 +16,11 @@
 
 type kind = Cpool_intf.kind = Linear | Random | Tree | Hinted
 (** The shared algorithm type ({!Cpool_intf.kind}), re-exported so the old
-    [Mc_pool.Linear]-style constructors keep compiling. [Hinted] is linear
-    search plus a hint board ({!Mc_hints}): a searcher that sweeps every
-    segment empty publishes a claimable hint and parks, and adds deliver
-    elements straight into a parked searcher's segment before touching
-    their own (paper §5). *)
+    [Mc_pool.Linear]-style constructors keep compiling. The real pool runs
+    the paper's three kinds; [Hinted] (the paper's §5 hint board) is
+    simulator-only and {!of_config} rejects it: once every kind parks its
+    idle searchers, handing elements to parked searchers no longer beats
+    the plain searches. *)
 
 type 'a t
 
@@ -29,13 +29,15 @@ type handle
     not thread-safe; use each handle from one domain at a time. *)
 
 (** Pool construction options, consolidated in one record so call sites
-    read [{ Config.default with segments = 8; kind = Hinted }] instead of
+    read [{ Config.default with segments = 8; kind = Random }] instead of
     threading eight optional keywords, and harness configs can embed a
     pool spec as a plain value. *)
 module Config : sig
   type t = {
     segments : int;  (** Segment slots; one per worker domain. *)
-    kind : kind;  (** Search algorithm; [Linear] by default. *)
+    kind : kind;
+        (** Search algorithm; [Linear] by default. [Hinted] is
+            rejected. *)
     seed : int64;
         (** Drives the [Random] search's probe sequence deterministically
             per handle. *)
@@ -58,17 +60,16 @@ module Config : sig
             power of two). *)
     topology : Cpool_topology.t option;
         (** Attach the shared locality model: segment [i] is homed on
-            topology node [i], remote probes, steals, spills and hint
-            deliveries pay an emulated busy-wait latency of
+            topology node [i], remote probes, steals and spills pay an
+            emulated busy-wait latency of
             [(distance - 1) * unit_ns] per access, and the near/far
             {!Mc_stats} counters come alive. *)
     topology_aware : bool;
         (** With a topology, let the search policies exploit the model
-            (default [true]) — Linear/Hinted scan in near-first order,
+            (default [true]) — Linear scans in near-first order,
             Random shuffles only within equal-distance buckets, Tree maps
             locality groups onto contiguous leaf subtrees, spills fill
-            near segments first, and hinted adders claim near parked
-            searchers before far ones. Aware searchers also escalate
+            near segments first. Aware searchers also escalate
             reluctantly: three of every four failed search passes scan
             only the near prefix of the probe order, and every fourth
             goes the full distance. [false] is the distance-oblivious
@@ -83,9 +84,9 @@ end
 
 val of_config : Config.t -> 'a t
 (** [of_config c] builds a pool from the consolidated options. Raises
-    [Invalid_argument] if [c.segments <= 0], [c.capacity <= Some 0],
-    [c.trace_capacity <= 0], or the topology's node count differs from
-    [c.segments]. *)
+    [Invalid_argument] if [c.kind = Hinted], [c.segments <= 0],
+    [c.capacity <= Some 0], [c.trace_capacity <= 0], or the topology's node
+    count differs from [c.segments]. *)
 
 val segments : 'a t -> int
 
@@ -157,14 +158,12 @@ val remove : 'a t -> handle -> 'a option
     registered worker is searching and a full sweep confirmed emptiness.
     The block is event-driven on every kind: after a short spin of failed
     search passes the searcher parks on the pool's eventcount
-    ({!Mc_park}) and is woken by the next add, spill, hint delivery,
-    banked steal remainder, deregistration or quiescence confirmation —
+    ({!Mc_park}) and is woken by the next add, spill, banked steal
+    remainder, deregistration or quiescence confirmation —
     it never polls on a timer. The spin starts at about a microsecond and
     doubles while parks keep ending quickly (dense arrivals), resetting
-    after a long one. On a [Hinted] pool the searcher also publishes a
-    claimable hint while parked, so an adder delivers straight into its
-    segment. A parked searcher still counts as "searching empty", so
-    quiescence detection is unchanged. *)
+    after a long one. A parked searcher still counts as "searching
+    empty", so quiescence detection is unchanged. *)
 
 val try_remove : 'a t -> handle -> 'a option
 (** [try_remove t h] is like {!remove} but never blocks: one search pass

@@ -76,7 +76,7 @@ let rec sleep_until deadline_ns =
 
 (* The post-run invariants, over the quiescent pool and the workers'
    ground-truth tallies. *)
-let verify pool (c : Mc_pool.Config.t) ~initial_added ~adds ~removes ~ops_attempted
+let verify pool ~initial_added ~adds ~removes ~ops_attempted
     ~capacity_sightings =
   let violations = ref [] in
   let check name ok detail = if not ok then violations := (name ^ ": " ^ detail) :: !violations in
@@ -136,21 +136,6 @@ let verify pool (c : Mc_pool.Config.t) ~initial_added ~adds ~removes ~ops_attemp
   check "telemetry: parks = wakes"
     (Mc_stats.parks merged = Mc_stats.wakes merged)
     (Printf.sprintf "parks %d <> wakes %d" (Mc_stats.parks merged) (Mc_stats.wakes merged));
-  if c.kind = Mc_pool.Hinted then begin
-    (* Hint-board accounting: at quiescence every published hint was either
-       claimed by an adder or retracted (expired) by its searcher, and a
-       delivery requires a claim. *)
-    check "telemetry: hints"
-      (Mc_stats.hints_published merged
-      = Mc_stats.hints_claimed merged + Mc_stats.hints_expired merged)
-      (Printf.sprintf "published %d <> claimed %d + expired %d"
-         (Mc_stats.hints_published merged) (Mc_stats.hints_claimed merged)
-         (Mc_stats.hints_expired merged));
-    check "telemetry: hint deliveries"
-      (Mc_stats.hints_delivered merged <= Mc_stats.hints_claimed merged)
-      (Printf.sprintf "delivered %d > claimed %d" (Mc_stats.hints_delivered merged)
-         (Mc_stats.hints_claimed merged))
-  end;
   (merged, List.rev !violations)
 
 let run (c : Mc_pool.Config.t) ~initial ~fill ~duration_s ~phase ~consume =
@@ -240,7 +225,7 @@ let run (c : Mc_pool.Config.t) ~initial ~fill ~duration_s ~phase ~consume =
   let ops = sum (fun w -> w.ops) in
   let ops_attempted = prefill_attempts + ops + sum (fun w -> w.drains) in
   let merged, violations =
-    verify pool c ~initial_added ~adds ~removes ~ops_attempted
+    verify pool ~initial_added ~adds ~removes ~ops_attempted
       ~capacity_sightings:(Atomic.get capacity_sightings)
   in
   let phase_end_ns = List.fold_left (fun acc (_, t) -> max acc t) t0_ns finished in

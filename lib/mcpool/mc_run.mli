@@ -31,9 +31,7 @@
       (spills included) match the tallies, its steal counter matches the
       pool's, the fast + locked path counters stay within the attempted
       operations, spills equal inbox adds (and drains never exceed them),
-      and parks equal wakes;
-    - {b hint identities} ([Hinted]) — published = claimed + expired, and
-      delivered <= claimed.
+      and parks equal wakes.
 
     A traced pool needs no further check: each event is written once,
     through its {!Mc_stats} note, which bumps the counter and appends to

@@ -573,7 +573,11 @@ let config_of_cell_json c =
   let ( let* ) = Result.bind in
   let* kind =
     match J.member "kind" c with
-    | Some (J.Str s) -> Cpool_intf.of_string s
+    | Some (J.Str s) -> (
+      match Cpool_intf.of_string s with
+      | Ok Cpool_intf.Hinted ->
+        Error "kind \"hinted\" is simulator-only; the real pool runs linear, random or tree"
+      | r -> r)
     | _ -> Error "missing string \"kind\""
   in
   let* workload =

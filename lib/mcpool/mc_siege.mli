@@ -113,7 +113,7 @@ val is_broken : config -> point -> bool
     [p99_bound_us]. *)
 
 val cell_label : outcome -> string
-(** E.g. ["hinted/4d/mix0.5/init0+poisson:2000/balanced:2"]. *)
+(** E.g. ["random/4d/mix0.5/init0+poisson:2000/balanced:2"]. *)
 
 val render : outcome list -> string
 (** Human-readable latency-under-load tables plus one saturation verdict
@@ -145,7 +145,8 @@ val validate_json : Cpool_util.Json.t -> (int, string) result
 
 val config_of_cell_json : Cpool_util.Json.t -> (config, string) result
 (** Rebuild a runnable {!config} from one artifact cell — the siege-diff
-    rerun path. *)
+    rerun path. [Error] on a [hinted] cell: the real pool does not run
+    that kind. *)
 
 val diff :
   baseline:Cpool_util.Json.t ->

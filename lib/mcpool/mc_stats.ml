@@ -14,13 +14,6 @@ type t = {
   mutable spins : int;
   mutable parks : int; (* blocks on the pool's eventcount *)
   mutable wakes : int; (* returns from those blocks *)
-  (* Hint-board counters (the [Hinted] kind). Published/expired are bumped
-     only by the parking searcher's own handle; claimed/delivered only by
-     the claiming adder's handle — per-handle single-writer like the rest. *)
-  mutable hints_published : int;
-  mutable hints_claimed : int;
-  mutable hints_delivered : int;
-  mutable hints_expired : int;
   (* Segment-side path counters: which protocol path each ring operation
      took. Fast/locked push/pop and the drain counters are written only by
      the segment's owner domain (plain stores are enough); the remaining
@@ -79,10 +72,6 @@ let create ?(ring = Mc_trace.disabled) () =
       spins = 0;
       parks = 0;
       wakes = 0;
-      hints_published = 0;
-      hints_claimed = 0;
-      hints_delivered = 0;
-      hints_expired = 0;
       fast_pushes = 0;
       locked_pushes = 0;
       fast_pops = 0;
@@ -159,22 +148,6 @@ let parks s = s.parks
 
 let wakes s = s.wakes
 
-let note_hint_published s ~a1 =
-  s.hints_published <- s.hints_published + 1;
-  Mc_trace.record s.ring Mc_trace.Hint_publish ~a1 ~a2:0
-
-let note_hint_claimed s ~a1 =
-  s.hints_claimed <- s.hints_claimed + 1;
-  Mc_trace.record s.ring Mc_trace.Hint_claim ~a1 ~a2:0
-
-let note_hint_delivered s ~a1 =
-  s.hints_delivered <- s.hints_delivered + 1;
-  Mc_trace.record s.ring Mc_trace.Hint_deliver ~a1 ~a2:0
-
-let note_hint_expired s ~a1 =
-  s.hints_expired <- s.hints_expired + 1;
-  Mc_trace.record s.ring Mc_trace.Hint_expire ~a1 ~a2:0
-
 let note_fast_push s = s.fast_pushes <- s.fast_pushes + 1
 
 let note_locked_push s = s.locked_pushes <- s.locked_pushes + 1
@@ -242,10 +215,6 @@ let merge a b =
   s.spins <- a.spins + b.spins;
   s.parks <- a.parks + b.parks;
   s.wakes <- a.wakes + b.wakes;
-  s.hints_published <- a.hints_published + b.hints_published;
-  s.hints_claimed <- a.hints_claimed + b.hints_claimed;
-  s.hints_delivered <- a.hints_delivered + b.hints_delivered;
-  s.hints_expired <- a.hints_expired + b.hints_expired;
   s.fast_pushes <- a.fast_pushes + b.fast_pushes;
   s.locked_pushes <- a.locked_pushes + b.locked_pushes;
   s.fast_pops <- a.fast_pops + b.fast_pops;
@@ -289,10 +258,6 @@ let counters s =
       ("retry spins", s.spins);
       ("parks", s.parks);
       ("wakes", s.wakes);
-      ("hints published", s.hints_published);
-      ("hints claimed", s.hints_claimed);
-      ("hints delivered", s.hints_delivered);
-      ("hints expired", s.hints_expired);
       ("fast-path pushes", s.fast_pushes);
       ("locked pushes", s.locked_pushes);
       ("fast-path pops", s.fast_pops);
@@ -336,14 +301,6 @@ let far_probes s = s.far_probes
 let near_steals s = s.near_steals
 
 let far_steals s = s.far_steals
-
-let hints_published s = s.hints_published
-
-let hints_claimed s = s.hints_claimed
-
-let hints_delivered s = s.hints_delivered
-
-let hints_expired s = s.hints_expired
 
 let fast_path_ops s = s.fast_pushes + s.fast_pops
 

@@ -46,8 +46,8 @@ val note_add : t -> a1:int -> size:('s -> int) -> 's -> unit
 (** A successful add into the worker's own segment [a1] ([Add]). *)
 
 val note_spill : t -> a1:int -> size:('s -> int) -> 's -> unit
-(** A successful add that spilled to segment [a1]'s inbox (bounded pools
-    and hint deliveries; [Spill]). *)
+(** A successful add that spilled to segment [a1]'s inbox (bounded pools;
+    [Spill]). *)
 
 val note_add_fail : t -> unit
 (** An add rejected because every segment was full. *)
@@ -84,30 +84,6 @@ val note_wake : t -> a1:int -> unit
 (** A parked searcher (slot [a1]; [Wake]) returned from its block. [parks = wakes] whenever no
     searcher is asleep; while workers run, the difference is how many
     are. *)
-
-(** {2 Hint-board counters (the [Hinted] kind)}
-
-    Published and expired are bumped only by the parking searcher's own
-    handle; claimed and delivered only by the claiming adder's handle. At
-    quiescence [published = claimed + expired] (every hint is eventually
-    claimed by an adder or retracted by its searcher), and
-    [delivered <= claimed] (a claim against a full bounded segment aborts
-    the delivery). *)
-
-val note_hint_published : t -> a1:int -> unit
-(** Searcher [a1], having swept every segment empty, published a hint
-    and parked ([Hint_publish]). *)
-
-val note_hint_claimed : t -> a1:int -> unit
-(** An adder CAS-claimed parked searcher [a1]'s hint ([Hint_claim]). *)
-
-val note_hint_delivered : t -> a1:int -> unit
-(** A claimed hint's element landed in parked searcher [a1]'s segment
-    ([Hint_deliver]). *)
-
-val note_hint_expired : t -> a1:int -> unit
-(** Searcher [a1] retracted its own hint unclaimed (backoff round, local
-    work arrived, or quiescence confirmation; [Hint_expire]). *)
 
 (** {2 Segment-side path counters (called by [Mc_segment])}
 
@@ -210,14 +186,6 @@ val far_steal_batch_sizes : t -> Cpool_metrics.Sample.t
 val parks : t -> int
 
 val wakes : t -> int
-
-val hints_published : t -> int
-
-val hints_claimed : t -> int
-
-val hints_delivered : t -> int
-
-val hints_expired : t -> int
 
 val fast_path_ops : t -> int
 (** Owner operations completed without the mutex. *)

@@ -5,10 +5,6 @@ type tag =
   | Steal_probe
   | Steal_claim
   | Sweep
-  | Hint_publish
-  | Hint_claim
-  | Hint_deliver
-  | Hint_expire
   | Park
   | Wake
   | Mpsc_drain
@@ -16,8 +12,8 @@ type tag =
 
 let all_tags =
   [
-    Add; Remove; Spill; Steal_probe; Steal_claim; Sweep; Hint_publish;
-    Hint_claim; Hint_deliver; Hint_expire; Park; Wake; Mpsc_drain; Far_probe;
+    Add; Remove; Spill; Steal_probe; Steal_claim; Sweep; Park; Wake;
+    Mpsc_drain; Far_probe;
   ]
 
 let tag_index = function
@@ -27,14 +23,10 @@ let tag_index = function
   | Steal_probe -> 3
   | Steal_claim -> 4
   | Sweep -> 5
-  | Hint_publish -> 6
-  | Hint_claim -> 7
-  | Hint_deliver -> 8
-  | Hint_expire -> 9
-  | Park -> 10
-  | Wake -> 11
-  | Mpsc_drain -> 12
-  | Far_probe -> 13
+  | Park -> 6
+  | Wake -> 7
+  | Mpsc_drain -> 8
+  | Far_probe -> 9
 
 let tag_of_index = function
   | 0 -> Add
@@ -43,14 +35,10 @@ let tag_of_index = function
   | 3 -> Steal_probe
   | 4 -> Steal_claim
   | 5 -> Sweep
-  | 6 -> Hint_publish
-  | 7 -> Hint_claim
-  | 8 -> Hint_deliver
-  | 9 -> Hint_expire
-  | 10 -> Park
-  | 11 -> Wake
-  | 12 -> Mpsc_drain
-  | 13 -> Far_probe
+  | 6 -> Park
+  | 7 -> Wake
+  | 8 -> Mpsc_drain
+  | 9 -> Far_probe
   | _ -> invalid_arg "Mc_trace.tag_of_index"
 
 let tag_name = function
@@ -60,10 +48,6 @@ let tag_name = function
   | Steal_probe -> "steal-probe"
   | Steal_claim -> "steal-claim"
   | Sweep -> "sweep"
-  | Hint_publish -> "hint-publish"
-  | Hint_claim -> "hint-claim"
-  | Hint_deliver -> "hint-deliver"
-  | Hint_expire -> "hint-expire"
   | Park -> "park"
   | Wake -> "wake"
   | Mpsc_drain -> "mpsc-drain"
@@ -169,9 +153,7 @@ module J = Cpool_util.Json
 let observed_size e =
   match e.tag with
   | Add | Remove | Spill | Steal_probe -> Some (e.a1, e.a2)
-  | Steal_claim | Sweep | Hint_publish | Hint_claim | Hint_deliver
-  | Hint_expire | Park | Wake | Mpsc_drain | Far_probe ->
-    None
+  | Steal_claim | Sweep | Park | Wake | Mpsc_drain | Far_probe -> None
 
 let chrome_us ~t0 e = float_of_int (e.ts_ns - t0) /. 1e3
 

@@ -1,6 +1,6 @@
 (** Per-handle, lock-free event ring for the multicore pool.
 
-    {!Mc_stats} says {e how many} steals, hints and spills a run made;
+    {!Mc_stats} says {e how many} steals, parks and spills a run made;
     this module says {e when}. It is an optional sink behind {!Mc_stats}:
     a traced pool's handles each own one ring inside their stats, and
     every handle-level [Mc_stats.note_*] bumps its counter and appends the
@@ -33,10 +33,8 @@
     - [Steal_claim]: victim segment, elements taken (kept + banked into
       the thief's own segment, the event's track);
     - [Sweep]: the sweeper's slot, 0;
-    - [Hint_publish], [Hint_expire]: the searcher's slot, 0;
     - [Park], [Wake]: the searcher's slot, 0 — they bracket each block on
       the pool's eventcount ({!Mc_park}), on every kind;
-    - [Hint_claim], [Hint_deliver]: the claimed (parked searcher's) slot, 0;
     - [Mpsc_drain]: the owner's segment, elements folded from the inbox
       into the ring by that exchange-drain (the one ring-only event: its
       counter lives in the segment's own stats);
@@ -50,10 +48,6 @@ type tag =
   | Steal_probe
   | Steal_claim
   | Sweep
-  | Hint_publish
-  | Hint_claim
-  | Hint_deliver
-  | Hint_expire
   | Park
   | Wake
   | Mpsc_drain

@@ -4,7 +4,7 @@ open Cpool_sim
    pool, re-exported so [Pool.Linear] etc. keep compiling. *)
 type kind = Cpool_intf.kind = Linear | Random | Tree | Hinted
 
-let all_kinds = [ Linear; Random; Tree ]
+let all_kinds = Cpool_intf.all
 
 type config = {
   segments : int;

@@ -8,8 +8,7 @@
     closures flowing through an {!Cpool_mc.Mc_pool} — adds stay in the
     forking worker's segment, idle workers steal half a segment at a time,
     and a worker with nothing to steal {e parks} on the pool's eventcount
-    until the next fork makes work visible (on a [Hinted] pool that fork
-    is delivered straight into its segment).
+    until the next fork makes work visible.
 
     {2 Lifecycle}
 
@@ -106,8 +105,7 @@ val max_workers : t -> int
     unbounded for the stack baseline. *)
 
 val label : t -> string
-(** ["linear"], ["random"], ["tree"], ["hinted"] or ["stack"] — for
-    reports. *)
+(** ["linear"], ["random"], ["tree"] or ["stack"] — for reports. *)
 
 val forked : t -> int
 (** Tasks enqueued so far (including {!shrink} nudges). *)

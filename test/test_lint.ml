@@ -351,7 +351,7 @@ let test_deep_scenarios_need_dpor () =
         Alcotest.fail
           (n ^ " is exhaustively enumerable; it does not need the reduction")
       | exception Sched.Exploded _ -> ())
-    [ "three-stealers"; "hint-three-way"; "spill-spill-drain" ]
+    [ "three-stealers"; "spill-spill-drain" ]
 
 (* ---- happens-before race detection ----------------------------------- *)
 

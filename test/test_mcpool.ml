@@ -7,7 +7,6 @@ let kinds =
     ("linear", Mc_pool.Linear);
     ("random", Mc_pool.Random);
     ("tree", Mc_pool.Tree);
-    ("hinted", Mc_pool.Hinted);
   ]
 
 (* --- Single-domain semantics --- *)
@@ -16,6 +15,13 @@ let test_create_invalid () =
   Alcotest.check_raises "segments"
     (Invalid_argument "Mc_pool.of_config: segments must be positive")
     (fun () -> ignore (Mc_pool.of_config { Mc_pool.Config.default with segments = 0 } : unit Mc_pool.t))
+
+(* The hint board is simulator-only: the real pool refuses the kind
+   outright rather than running it as a fourth search. *)
+let test_of_config_rejects_hinted () =
+  match (Mc_pool.of_config { Mc_pool.Config.default with kind = Mc_pool.Hinted } : unit Mc_pool.t) with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "of_config accepted Hinted"
 
 let test_register_slots () =
   let pool : int Mc_pool.t = Mc_pool.of_config { Mc_pool.Config.default with segments = 2 } in
@@ -367,7 +373,23 @@ let test_stress_harness kind () =
   Alcotest.(check bool) "renders" true
     (String.length (Cpool_mc.Mc_bench.render [ r ]) > 0)
 
-(* --- Hinted hand-off --- *)
+let test_sparse_stress_cell kind () =
+  (* A sparse mix (35% adds) keeps searchers hungry, so the hunt, parking
+     and quiescence aborts run under churn; the harness checks
+     conservation and the stats identities after the run. *)
+  let r =
+    soak_cell ~domains:4 kind
+      { Cpool_intf.Workload.default with mix = 0.35; duration_s = 0.1; initial = 8 }
+  in
+  Alcotest.(check (list string)) "no invariant violations" [] r.run.violations;
+  Alcotest.(check bool) "did some work" true (r.run.ops > 0)
+
+(* --- Kinds --- *)
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
+  at 0
 
 let test_kind_round_trip () =
   List.iter
@@ -376,41 +398,44 @@ let test_kind_round_trip () =
       match Cpool_intf.of_string s with
       | Ok k' -> Alcotest.(check bool) (s ^ " round-trips") true (k = k')
       | Error e -> Alcotest.fail e)
-    Cpool_intf.all;
+    (Cpool_intf.all @ [ Mc_pool.Hinted ]);
   (match Cpool_intf.of_string "HINTED" with
   | Ok Mc_pool.Hinted -> ()
   | _ -> Alcotest.fail "of_string must be case-insensitive");
   match Cpool_intf.of_string "bogus" with
   | Ok _ -> Alcotest.fail "expected an error for an unknown kind"
   | Error msg ->
-    let contains hay needle =
-      let nh = String.length hay and nn = String.length needle in
-      let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
-      at 0
-    in
     let mentions_valid = contains msg "valid kinds" in
     Alcotest.(check bool) "error lists the valid kinds" true mentions_valid
 
-let test_hinted_remove_none_on_quiescence () =
-  (* A lone registered searcher on an empty hinted pool must abort with
-     None (not park forever), and the abort must leave the hint board fully
-     retracted: published = claimed + expired. *)
-  let pool : int Mc_pool.t = Mc_pool.of_config { Mc_pool.Config.default with kind = Mc_pool.Hinted; segments = 4 } in
-  let h = Mc_pool.register pool in
-  Alcotest.(check (option int)) "empty pool" None (Mc_pool.remove pool h);
-  Mc_pool.add pool h 7;
-  Alcotest.(check (option int)) "element back" (Some 7) (Mc_pool.remove pool h);
-  Alcotest.(check (option int)) "empty again" None (Mc_pool.remove pool h);
-  let s = Mc_pool.stats pool in
-  Alcotest.(check int) "board settled: published = claimed + expired"
-    (Mc_stats.hints_published s)
-    (Mc_stats.hints_claimed s + Mc_stats.hints_expired s);
-  Mc_pool.deregister pool h
+(* The real pool runs the paper's three kinds, from one list shared by
+   the simulator's registry and the mc-app grid. *)
+let test_paper_kinds () =
+  Alcotest.(check bool) "Cpool_intf.all is linear, random, tree" true
+    (Cpool_intf.all = [ Mc_pool.Linear; Mc_pool.Random; Mc_pool.Tree ]);
+  Alcotest.(check bool) "Pool.all_kinds is the same list" true
+    (Cpool.Pool.all_kinds == Cpool_intf.all);
+  Alcotest.(check bool) "mc-app sweeps the same kinds" true
+    (Cpool_game.Mc_app.default.kinds = Cpool_intf.all)
 
-let test_hinted_quiescence_under_domains () =
+(* The counter labels are read by name by the bench tables and perfbench
+   ("retry spins"): the set is pinned so a rename shows up here. *)
+let test_counter_labels () =
+  Alcotest.(check (list string))
+    "labels"
+    [
+      "adds"; "spill adds"; "rejected adds"; "local removes"; "steals"; "elements stolen";
+      "segments examined"; "sweeps"; "empty confirmations"; "retry spins"; "parks"; "wakes";
+      "fast-path pushes"; "locked pushes"; "fast-path pops"; "locked pops"; "inbox adds";
+      "inbox drains"; "inbox drained"; "top CAS retries"; "mpsc retries"; "batched steals";
+      "near probes"; "far probes"; "near steals"; "far steals";
+    ]
+    (Cpool_metrics.Counters.labels (Mc_stats.counters (Mc_stats.create ())))
+
+let test_quiescence_under_domains kind () =
   (* Two domains both hunting an empty pool: each must see the other as
      "searching empty" (parked counts) and abort, rather than deadlock. *)
-  let pool : int Mc_pool.t = Mc_pool.of_config { Mc_pool.Config.default with kind = Mc_pool.Hinted; segments = 2 } in
+  let pool : int Mc_pool.t = Mc_pool.of_config { Mc_pool.Config.default with kind; segments = 2 } in
   let handles = Array.init 2 (Mc_pool.register_at pool) in
   let ds =
     List.init 2 (fun i ->
@@ -423,15 +448,31 @@ let test_hinted_quiescence_under_domains () =
     (fun d -> Alcotest.(check (option int)) "abort on empty" None (Domain.join d))
     ds
 
-let test_hinted_parked_searcher_woken () =
-  (* The tentpole scenario: a consumer parks on the hint board, a remote
-     producer's add claims the hint and deposits straight into the
-     consumer's segment. Repeat enough rounds that at least one add lands
-     while the searcher is parked. *)
+let test_remove_none_on_quiescence kind () =
+  (* A lone registered searcher on an empty pool must abort with None each
+     time it finds the pool empty, not park forever, and leave no park
+     unmatched by a wake. *)
+  let pool : int Mc_pool.t = Mc_pool.of_config { Mc_pool.Config.default with kind; segments = 4 } in
+  let h = Mc_pool.register pool in
+  Alcotest.(check (option int)) "empty pool" None (Mc_pool.remove pool h);
+  Mc_pool.add pool h 7;
+  Alcotest.(check (option int)) "element back" (Some 7) (Mc_pool.remove pool h);
+  Alcotest.(check (option int)) "empty again" None (Mc_pool.remove pool h);
+  let s = Mc_pool.stats pool in
+  Alcotest.(check int) "every park woke" (Mc_stats.parks s) (Mc_stats.wakes s);
+  Alcotest.(check int) "pool empty" 0 (Mc_pool.size pool);
+  Mc_pool.deregister pool h
+
+let test_parked_searcher_woken kind () =
+  (* A consumer parks on the eventcount round after round; each time a
+     remote producer's add must wake it with the element. The producer
+     waits (boundedly) for the consumer to park before each add, so at
+     least one add lands while the searcher sleeps. *)
   let rounds = 20 in
-  let pool : int Mc_pool.t = Mc_pool.of_config { Mc_pool.Config.default with kind = Mc_pool.Hinted; segments = 2 } in
+  let pool : int Mc_pool.t = Mc_pool.of_config { Mc_pool.Config.default with kind; segments = 2 } in
   let h0 = Mc_pool.register_at pool 0 in
   let h1 = Mc_pool.register_at pool 1 in
+  let s0 = Mc_pool.stats_of_handle h0 in
   let got = Atomic.make 0 in
   let consumer =
     Domain.spawn (fun () ->
@@ -439,19 +480,11 @@ let test_hinted_parked_searcher_woken () =
           match Mc_pool.remove pool h0 with
           | Some _ -> Atomic.incr got
           | None -> ()
-        done;
-        Mc_pool.deregister pool h0)
+        done)
   in
   for k = 1 to rounds do
-    (* Give the searcher time to publish a hint before adding, so the add
-       exercises the claim-and-deliver path; the bound keeps the test from
-       hanging if the searcher is between publications. *)
     let rec await i =
-      if
-        i < 2_000
-        && Atomic.get got < k
-        && Mc_stats.hints_published (Mc_pool.stats pool) < k
-      then begin
+      if i < 2_000 && Mc_stats.parks s0 < k then begin
         Unix.sleepf 1e-4;
         await (i + 1)
       end
@@ -461,24 +494,11 @@ let test_hinted_parked_searcher_woken () =
   done;
   Domain.join consumer;
   Alcotest.(check int) "every remove satisfied" rounds (Atomic.get got);
-  let s = Mc_pool.stats pool in
-  Alcotest.(check bool) "hints were published" true (Mc_stats.hints_published s >= 1);
-  Alcotest.(check bool) "at least one hand-off delivered" true
-    (Mc_stats.hints_delivered s >= 1);
-  Alcotest.(check bool) "delivered <= claimed" true
-    (Mc_stats.hints_delivered s <= Mc_stats.hints_claimed s);
+  Alcotest.(check bool) "the searcher parked" true (Mc_stats.parks s0 >= 1);
+  Alcotest.(check int) "every park woke" (Mc_stats.parks s0) (Mc_stats.wakes s0);
+  Alcotest.(check int) "pool empty" 0 (Mc_pool.size pool);
+  Mc_pool.deregister pool h0;
   Mc_pool.deregister pool h1
-
-let test_hinted_sparse_stress_cell () =
-  (* A sparse mix (35% adds) keeps searchers hungry, so the hint board is
-     exercised under churn; the harness checks conservation, capacity and
-     the hint accounting identities after the run. *)
-  let r =
-    soak_cell ~domains:4 Mc_pool.Hinted
-      { Cpool_intf.Workload.default with mix = 0.35; duration_s = 0.1; initial = 8 }
-  in
-  Alcotest.(check (list string)) "no invariant violations" [] r.run.violations;
-  Alcotest.(check bool) "did some work" true (r.run.ops > 0)
 
 (* An idle remover must sleep, not poll. After 50 ms with nothing to take
    it is woken by one later add, and its spins stay within the spin budget
@@ -508,6 +528,44 @@ let test_idle_remover_parks kind () =
   Mc_pool.deregister pool h0;
   Mc_pool.deregister pool h1
 
+(* --- The pools_bench CLI and the committed artifacts --- *)
+
+(* Paths resolve from the test binary's directory so the suite finds the
+   built CLI and the artifacts wherever it is run from. *)
+let beside_tests rel = Filename.concat (Filename.dirname Sys.executable_name) rel
+
+(* --kind hinted is refused at parse time, before any run: exit 2 with a
+   message naming the kind simulator-only and listing the valid ones. *)
+let test_cli_rejects_hinted cmd () =
+  let out = Filename.temp_file "pools_bench" ".json" in
+  let err = Filename.temp_file "pools_bench" ".err" in
+  let code =
+    Sys.command
+      (Filename.quote_command
+         (beside_tests "../bin/pools_bench.exe")
+         [ cmd; "--kind"; "hinted"; "--out"; out ]
+         ~stdout:Filename.null ~stderr:err)
+  in
+  let msg = In_channel.with_open_bin err In_channel.input_all in
+  Sys.remove out;
+  Sys.remove err;
+  Alcotest.(check int) "usage error" 2 code;
+  Alcotest.(check bool) ("says simulator-only: " ^ msg) true (contains msg "simulator-only");
+  Alcotest.(check bool) "lists the valid kinds" true (contains msg "linear, random, tree or all")
+
+let read_json rel =
+  match Cpool_util.Json.parse (In_channel.with_open_bin (beside_tests rel) In_channel.input_all) with
+  | Ok doc -> doc
+  | Error e -> Alcotest.fail (rel ^ " does not parse: " ^ e)
+
+(* The committed closed-loop and mc-app reports predate the kind's
+   retirement (the closed-loop one still carries hint fields); they stay
+   valid historical artifacts. *)
+let test_committed_artifact name validate () =
+  match validate (read_json ("../" ^ name)) with
+  | Ok n -> Alcotest.(check bool) (name ^ " has cells") true (n > 0)
+  | Error e -> Alcotest.fail (name ^ " no longer validates: " ^ e)
+
 let per_kind name f = List.map (fun (kn, k) -> Alcotest.test_case (name ^ " (" ^ kn ^ ")") `Quick (f k)) kinds
 
 let main_suites =
@@ -515,15 +573,9 @@ let main_suites =
     ( "mcpool",
       [
         Alcotest.test_case "kind round-trip" `Quick test_kind_round_trip;
-        Alcotest.test_case "hinted: None on quiescence" `Quick
-          test_hinted_remove_none_on_quiescence;
-        Alcotest.test_case "hinted: quiescence under domains" `Quick
-          test_hinted_quiescence_under_domains;
-        Alcotest.test_case "hinted: parked searcher woken by remote add" `Quick
-          test_hinted_parked_searcher_woken;
-        Alcotest.test_case "hinted: sparse stress cell" `Quick
-          test_hinted_sparse_stress_cell;
+        Alcotest.test_case "paper's three kinds" `Quick test_paper_kinds;
         Alcotest.test_case "create invalid" `Quick test_create_invalid;
+        Alcotest.test_case "of_config rejects Hinted" `Quick test_of_config_rejects_hinted;
         Alcotest.test_case "register slots" `Quick test_register_slots;
         Alcotest.test_case "register_at" `Quick test_register_at;
         Alcotest.test_case "local roundtrip" `Quick test_local_roundtrip;
@@ -533,8 +585,24 @@ let main_suites =
       @ per_kind "try_remove nonblocking" test_try_remove_nonblocking
       @ per_kind "conservation under domains" test_conservation_under_domains
       @ per_kind "producer/consumer domains" test_producer_consumer_domains
-      @ per_kind "work-generating workload" test_work_generating_workload );
-    ("mcpool.park", per_kind "idle remover parks until an add" test_idle_remover_parks);
+      @ per_kind "work-generating workload" test_work_generating_workload
+      @ per_kind "quiescence under domains" test_quiescence_under_domains
+      @ per_kind "None on quiescence" test_remove_none_on_quiescence );
+    ( "mcpool.park",
+      per_kind "idle remover parks until an add" test_idle_remover_parks
+      @ per_kind "parked searcher woken by remote add" test_parked_searcher_woken );
+    ( "pools_bench",
+      List.map
+        (fun cmd ->
+          Alcotest.test_case (cmd ^ " --kind hinted is a usage error") `Quick
+            (test_cli_rejects_hinted cmd))
+        [ "mc-throughput"; "mc-siege"; "mc-app" ]
+      @ [
+          Alcotest.test_case "committed BENCH_mcpool.json validates" `Quick
+            (test_committed_artifact "BENCH_mcpool.json" Mc_bench.validate_json);
+          Alcotest.test_case "committed BENCH_mcapp.json validates" `Quick
+            (test_committed_artifact "BENCH_mcapp.json" Cpool_game.Mc_app.validate_json);
+        ] );
   ]
 
 (* --- Bounded multicore pools --- *)
@@ -990,8 +1058,10 @@ let suites =
         Alcotest.test_case "per-handle counters" `Quick test_stats_counters;
         Alcotest.test_case "pool stats survive churn" `Quick test_stats_survive_churn;
         Alcotest.test_case "telemetry table" `Quick test_stats_render;
+        Alcotest.test_case "counter labels" `Quick test_counter_labels;
       ]
       @ per_kind "stress harness smoke" test_stress_harness
+      @ per_kind "sparse stress cell" test_sparse_stress_cell
       @ [ Alcotest.test_case "run scaffold: backlog then drain" `Quick test_run_backlog_then_drain ] );
     ( "mcpool.bounded",
       [

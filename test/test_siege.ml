@@ -248,6 +248,67 @@ let test_siege_smoke () =
       Alcotest.check workload "workload survives" tiny_config.Mc_siege.workload
         cfg.Mc_siege.workload)
 
+(* A minimal artifact cell, as siege-diff reads it back. *)
+let cell_json kind =
+  let module J = Cpool_util.Json in
+  J.Assoc
+    [
+      ("kind", J.Str kind);
+      ("workload", J.Str (Workload.to_string Workload.siege));
+      ("domains", J.Int 2);
+      ("seed", J.Int 42);
+      ("p99_bound_us", J.Float 10_000.0);
+      ("max_rate", J.Float 4000.0);
+      ("bisect_steps", J.Int 0);
+    ]
+
+(* A committed cell of the simulator-only hinted kind must not reach
+   Mc_pool.of_config (which raises) on the siege-diff rerun path: it is a
+   reconstruction error, while the same cell as linear rebuilds. *)
+let test_cell_rejects_hinted () =
+  (match Mc_siege.config_of_cell_json (cell_json "linear") with
+  | Ok cfg ->
+    Alcotest.(check bool) "linear rebuilds" true
+      (cfg.Mc_siege.pool.Mc_pool.Config.kind = Mc_pool.Linear)
+  | Error e -> Alcotest.fail ("linear cell does not reconstruct: " ^ e));
+  match Mc_siege.config_of_cell_json (cell_json "hinted") with
+  | Ok _ -> Alcotest.fail "a hinted cell reconstructed into a runnable config"
+  | Error _ -> ()
+
+(* Each kind the real pool runs rebuilds from its cell with the cell's
+   kind, domain count and workload. *)
+let test_cell_rebuilds kind () =
+  match Mc_siege.config_of_cell_json (cell_json (Cpool_intf.to_string kind)) with
+  | Error e -> Alcotest.fail ("cell does not reconstruct: " ^ e)
+  | Ok cfg ->
+    Alcotest.(check bool) "kind" true (cfg.Mc_siege.pool.Mc_pool.Config.kind = kind);
+    Alcotest.(check int) "one segment per domain" 2 cfg.Mc_siege.pool.Mc_pool.Config.segments;
+    Alcotest.check workload "workload" Workload.siege cfg.Mc_siege.workload
+
+(* The committed baseline that check.sh reruns cell by cell: it validates,
+   covers exactly the three kinds, and every cell rebuilds. *)
+let test_committed_baseline_rebuilds () =
+  let file = Filename.concat (Filename.dirname Sys.executable_name) "../BENCH_mcsiege.json" in
+  let doc =
+    match Cpool_util.Json.parse (In_channel.with_open_bin file In_channel.input_all) with
+    | Ok doc -> doc
+    | Error e -> Alcotest.fail ("BENCH_mcsiege.json does not parse: " ^ e)
+  in
+  (match Mc_siege.validate_json doc with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail ("BENCH_mcsiege.json no longer validates: " ^ e));
+  let cells = Option.get (Cpool_util.Json.to_list (Option.get (Cpool_util.Json.member "cells" doc))) in
+  let kinds =
+    List.map
+      (fun c ->
+        match Mc_siege.config_of_cell_json c with
+        | Ok cfg -> cfg.Mc_siege.pool.Mc_pool.Config.kind
+        | Error e -> Alcotest.fail ("a committed cell does not rebuild: " ^ e))
+      cells
+  in
+  Alcotest.(check bool) "the three kinds, once each" true
+    (List.sort compare kinds = List.sort compare Cpool_intf.all)
+
 (* The window opens at barrier release, not before the spawns: a lone
    producer's arrival count is a Poisson draw over exactly [duration], so
    it lands within 4 sigma of rate x duration. A clock started before
@@ -402,9 +463,19 @@ let suites =
         Alcotest.test_case "siege-diff: self is clean" `Quick test_diff_self_is_clean;
         Alcotest.test_case "siege-diff: missing cell flagged" `Quick
           test_diff_flags_collapse;
+        Alcotest.test_case "cell of the hinted kind is rejected" `Quick
+          test_cell_rejects_hinted;
+        Alcotest.test_case "committed baseline cells rebuild" `Quick
+          test_committed_baseline_rebuilds;
         Alcotest.test_case "siege window opens at barrier release" `Quick
           test_siege_window_starts_at_release;
         Alcotest.test_case "siege uniform point drains and conserves" `Quick
           test_siege_uniform_drains;
-      ] );
+      ]
+      @ List.map
+          (fun k ->
+            Alcotest.test_case
+              (Printf.sprintf "cell rebuilds (%s)" (Cpool_intf.to_string k))
+              `Quick (test_cell_rebuilds k))
+          Cpool_intf.all );
   ]

@@ -9,7 +9,6 @@ let kinds =
     ("linear", Cpool_mc.Mc_pool.Linear);
     ("random", Cpool_mc.Mc_pool.Random);
     ("tree", Cpool_mc.Mc_pool.Tree);
-    ("hinted", Cpool_mc.Mc_pool.Hinted);
   ]
 
 let pool_scheduler ?workers kind ~domains =
@@ -219,7 +218,7 @@ let test_search_validation () =
 let test_mc_app_smoke () =
   let config =
     {
-      Mc_app.kinds = [ Cpool_mc.Mc_pool.Linear; Cpool_mc.Mc_pool.Hinted ];
+      Mc_app.kinds = [ Cpool_mc.Mc_pool.Linear; Cpool_mc.Mc_pool.Random ];
       domain_counts = [ 1; 2 ];
       plies = 1;
       fork_plies = 1;

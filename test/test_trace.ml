@@ -10,7 +10,6 @@ let kinds =
     ("linear", Mc_pool.Linear);
     ("random", Mc_pool.Random);
     ("tree", Mc_pool.Tree);
-    ("hinted", Mc_pool.Hinted);
   ]
 
 (* --- Clock ----------------------------------------------------------- *)
@@ -219,10 +218,6 @@ let counter_of_tag stats tag =
   | Steal_probe -> get "segments examined"
   | Steal_claim -> get "steals"
   | Sweep -> get "sweeps"
-  | Hint_publish -> get "hints published"
-  | Hint_claim -> get "hints claimed"
-  | Hint_deliver -> get "hints delivered"
-  | Hint_expire -> get "hints expired"
   | Park -> get "parks"
   | Wake -> get "wakes"
   | Mpsc_drain -> get "inbox drains"
@@ -284,6 +279,17 @@ let test_pool_records_ops kind () =
   Alcotest.(check int) "events agree with pool.steals" (Mc_pool.steals pool)
     (count Mc_trace.Steal_claim)
 
+(* The ring's event vocabulary: one tag per pool event the notes record,
+   each with its own Chrome event name. *)
+let test_tag_set () =
+  Alcotest.(check (list string))
+    "tag names"
+    [
+      "add"; "remove"; "spill"; "steal-probe"; "steal-claim"; "sweep"; "park"; "wake";
+      "mpsc-drain"; "far-probe";
+    ]
+    (List.map Mc_trace.tag_name Mc_trace.all_tags)
+
 (* --- Stress reconciliation: events vs telemetry, per kind ------------- *)
 
 (* A ring keeps the newest of its handle's events, so under churn and
@@ -332,6 +338,7 @@ let suites =
         test_case "size series" `Quick test_size_series;
         test_case "pool tracing off by default" `Quick test_pool_tracing_disabled_by_default;
         test_case "pool trace capacity invalid" `Quick test_pool_trace_capacity_invalid;
+        test_case "tag set" `Quick test_tag_set;
       ]
       @ List.map
           (fun (name, kind) ->
